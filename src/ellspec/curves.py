@@ -184,8 +184,9 @@ class Curve:
         while m:
             if m & 1:
                 result = self.add(result, base)
-            base = self.add(base, base)
             m >>= 1
+            if m:
+                base = self.add(base, base)
         return result
 
     # -- torsion ---------------------------------------------------------

@@ -9,6 +9,7 @@ recombination step is harmless.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -193,7 +194,8 @@ def _trunc(f: IntPoly, m: int) -> IntPoly:
 
 def _divmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     qr = f.divmod_exact(g)
-    assert qr is not None  # g monic, so division never leaves Z[t]
+    if qr is None:  # g monic, so division never leaves Z[t]
+        raise AssertionError(f"division by non-monic {g} left Z[t]")
     return qr
 
 
@@ -234,7 +236,8 @@ def _hensel_lift(p: int, f: IntPoly, mod_factors: list[IntPoly], l: int) -> list
     for fi in mod_factors[k:]:
         h = _gf_mul(h, _gf_from_poly(fi, p), p)
     s, t, one = _gf_gcdex(g, h, p)
-    assert one == [1]
+    if one != [1]:
+        raise AssertionError(f"Hensel factors are not coprime mod {p}")
 
     G = _gf_to_poly_symmetric(g, p)
     H = _gf_to_poly_symmetric(h, p)
@@ -265,12 +268,6 @@ def _mignotte_bound(f: IntPoly) -> int:
     A = max(abs(c) for c in f.coeffs)
     b = abs(f.lc)
     return (math.isqrt(n + 1) + 1) * 2**n * A * b
-
-
-def _subsets(items: list[int], size: int):
-    import itertools
-
-    return itertools.combinations(items, size)
 
 
 def _zassenhaus(f: IntPoly) -> list[IntPoly]:
@@ -311,7 +308,7 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
     s = 1
     while 2 * s <= len(remaining):
         found = False
-        for S in _subsets(indices, s):
+        for S in itertools.combinations(indices, s):
             G = IntPoly.const(b)
             for i in S:
                 G = _trunc(G * lifted[i], pl)

@@ -282,10 +282,6 @@ class IntPoly:
         return f"IntPoly({self})"
 
 
-T = IntPoly.monomial(1, 1)
-IntPoly.t = T  # type: ignore[attr-defined]
-
-
 def cubic_discriminant(A, B, C) -> IntPoly:
     """Discriminant of x^3 + A x^2 + B x + C with A, B, C in Z[t]."""
     A = IntPoly.coerce(A)
@@ -301,7 +297,16 @@ def cubic_discriminant(A, B, C) -> IntPoly:
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """GCD in Z[t] via the primitive Euclidean algorithm.
+    """GCD in Z[t]: heuristic gcd (GCDHEU) with a primitive-PRS fallback.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989) evaluates
+    the primitive parts at an integer xi, takes the integer gcd of the
+    two values and rebuilds a candidate from its balanced base-xi digits.
+    A candidate is accepted only when it divides both primitive parts
+    exactly; since xi >= 2*min(|a|_inf, |b|_inf) + 2 throughout, such a
+    candidate is the gcd (Geddes, Czapor and Labahn, Thm 7.7), so the
+    result is exact.  After _HEU_GCD_ROUNDS failed evaluation points the
+    primitive Euclidean algorithm takes over.
 
     Result is canonical: positive leading coefficient, content equal to
     gcd of the contents.
@@ -316,6 +321,65 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     ca, pa = a.content_and_primitive()
     cb, pb = b.content_and_primitive()
     c = math.gcd(ca, cb)
+    if pa.is_constant or pb.is_constant:
+        return IntPoly.const(c)
+    g = _heu_gcd(pa, pb)
+    if g is None:
+        g = _prs_gcd(pa, pb)
+    return c * g
+
+
+_HEU_GCD_ROUNDS = 6
+
+
+def _heu_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly | None:
+    """Gcd, with lc > 0, of nonconstant primitive pa and pb; None when no
+    evaluation point in _HEU_GCD_ROUNDS rounds gave a verified candidate."""
+    norm_a = max(map(abs, pa._c))
+    norm_b = max(map(abs, pb._c))
+    # Never start below 2*min norm + 2: that bound is what makes a
+    # candidate dividing both inputs the gcd, not merely a common divisor.
+    xi = 2 * min(norm_a, norm_b) + 29
+    for _ in range(_HEU_GCD_ROUNDS):
+        va = _horner(pa._c, xi)
+        vb = _horner(pb._c, xi)
+        if va and vb:
+            h = _from_balanced_digits(math.gcd(va, vb), xi).primitive_part()
+            if h.lc < 0:
+                h = -h
+            if h.is_constant or (h.divides(pa) and h.divides(pb)):
+                return h
+        # sympy's growth schedule (dup_zz_heu_gcd): about xi**1.25
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _horner(coeffs: tuple[int, ...], x: int) -> int:
+    """Integer Horner evaluation of the coefficient tuple at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _from_balanced_digits(n: int, base: int) -> IntPoly:
+    """The polynomial whose coefficients are the balanced base-`base`
+    digits of n (each in (-base/2, base/2]), so that its value at `base`
+    is n."""
+    half = base // 2
+    digits = []
+    while n:
+        d = n % base
+        if d > half:
+            d -= base
+        digits.append(d)
+        n = (n - d) // base
+    return IntPoly(digits)
+
+
+def _prs_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly:
+    """Gcd of primitive pa, pb by the primitive Euclidean algorithm;
+    positive leading coefficient."""
     if pa.degree < pb.degree:
         pa, pb = pb, pa
     while not pb.is_zero:
@@ -324,7 +388,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         pb = r.primitive_part() if not r.is_zero else IntPoly()
     if pa.lc < 0:
         pa = -pa
-    return c * pa
+    return pa
 
 
 def squarefree_decompose(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]]]:

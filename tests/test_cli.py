@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ellspec
 from ellspec.cli import main
 
 
@@ -161,3 +166,27 @@ def test_verify_paper(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+_BROKEN_INVARIANT = """
+import sys
+from ellspec import cli, factorize
+from ellspec.intpoly import IntPoly
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+# a non-monic divisor breaks the invariant _divmod_monic relies on
+cli._COMMANDS["factor"] = lambda args: factorize._divmod_monic(IntPoly([1, 0, 1]), IntPoly([1, 2]))
+sys.exit(cli.main(["factor", "t"]))
+"""
+
+
+def test_invariant_violation_exits_3_under_python_O():
+    src = str(Path(ellspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "internal invariant violation" in proc.stderr

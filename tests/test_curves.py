@@ -74,6 +74,19 @@ def test_scalar_mul_agrees_with_repeated_addition():
         assert curve.scalar_mul(m, P) == acc
 
 
+def test_scalar_mul_skips_the_unused_final_doubling(monkeypatch):
+    rng = random.Random(304)
+    curve, (P, _, _) = random_q_curve_with_points(rng)
+    calls = []
+    add = Curve.add
+    monkeypatch.setattr(Curve, "add", lambda self, A, B: calls.append(1) or add(self, A, B))
+    for m in (1, 2, 5, 8, 13):
+        calls.clear()
+        curve.scalar_mul(m, P)
+        # one addition per set bit, one doubling per bit after the first
+        assert len(calls) == bin(m).count("1") + m.bit_length() - 1, m
+
+
 def test_two_torsion_over_q():
     curve = Curve(Fraction(0), Fraction(-1), Fraction(0))  # roots 0, 1, -1
     xs = {P.x for P in curve.two_torsion() if not P.is_infinity}

@@ -1,0 +1,72 @@
+"""poly_gcd against sympy's gcd in Z[t], used here only as an oracle."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ellspec import intpoly
+from ellspec.intpoly import IntPoly, poly_gcd
+
+sympy = pytest.importorskip("sympy")
+
+_t = sympy.Symbol("t")
+
+
+def sympy_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    pa = sympy.Poly(list(reversed(a.coeffs)) or [0], _t, domain="ZZ")
+    pb = sympy.Poly(list(reversed(b.coeffs)) or [0], _t, domain="ZZ")
+    return IntPoly(int(c) for c in reversed(pa.gcd(pb).all_coeffs()))
+
+
+def polys(max_degree: int, max_bits: int):
+    coeff = st.integers(1, max_bits).flatmap(lambda k: st.integers(-(2**k), 2**k))
+    return st.builds(IntPoly, st.lists(coeff, max_size=max_degree + 1))
+
+
+# Products g*a, g*b of degree up to 60 with coefficients up to 2^200.
+common = polys(30, 200)
+cofactor = polys(30, 64)
+scale = st.sampled_from([1, -1, 2, -6, 3 * 2**70])
+
+
+@settings(max_examples=150, deadline=None)
+@given(common, cofactor, cofactor, scale, scale)
+@example(IntPoly([1, 1]), IntPoly([-31, 1]), IntPoly([1]), 1, 1)  # first xi is a root
+# xi = 31 and gcd(31^2 + 31, 31 + 1) = 32 rebuilds t + 1, which divides
+# only the second input: the trial division must reject it
+@example(IntPoly([1]), IntPoly([31, 0, 1]), IntPoly([1, 1]), 1, 1)
+@example(IntPoly([5]), IntPoly([1, 2]), IntPoly([3]), 1, -1)  # constant g*b
+@example(IntPoly([3 * 2**199]), IntPoly([-(2**64)]), IntPoly([5]), 1, -6)  # both constant
+@example(IntPoly([1, 0, 1]), IntPoly([0, -1]), IntPoly([2]), -4, 6)  # negative leading
+def test_gcd_matches_sympy(g, a, b, sa, sb):
+    f = sa * g * a
+    h = sb * g * b
+    assert poly_gcd(f, h) == sympy_gcd(f, h)
+
+
+@pytest.mark.parametrize(
+    "f, h",
+    [
+        (IntPoly([6, 6]), IntPoly([4, 4])),  # content-only difference
+        (IntPoly([-12]), IntPoly([0, 0, 18])),
+        (IntPoly(), IntPoly([-3, 0, -9])),
+        (IntPoly([0, -2]), IntPoly()),
+        (IntPoly(), IntPoly()),
+    ],
+)
+def test_content_and_zero_cases_match_sympy(f, h):
+    assert poly_gcd(f, h) == sympy_gcd(f, h)
+
+
+def test_prs_fallback_gives_identical_result(monkeypatch):
+    T = IntPoly.monomial(1, 1)
+    g = 3 * (T**7 - 5 * T**3 + 2**90) * (T**2 + T + 1)
+    f = g * (2 * T**5 + 7)
+    h = -g * (T**4 - 3 * T + 11) * 10
+    heuristic = poly_gcd(f, h)
+
+    prs_calls = []
+    prs = intpoly._prs_gcd
+    monkeypatch.setattr(intpoly, "_HEU_GCD_ROUNDS", 0)
+    monkeypatch.setattr(intpoly, "_prs_gcd", lambda a, b: prs_calls.append(1) or prs(a, b))
+    assert poly_gcd(f, h) == heuristic == sympy_gcd(f, h)
+    assert prs_calls == [1]

@@ -74,6 +74,15 @@ def test_pairing_is_symmetric_and_even():
     ) - mestre.morphism_degree(inst, P)
 
 
+def test_scalar_mul_five_on_the_twist():
+    inst = mestre.build(2, 12)
+    curve, P = inst.curve, inst.P
+    fourP = curve.add(curve.add(P, P), curve.add(P, P))
+    fiveP = curve.scalar_mul(5, P)
+    assert fiveP == curve.add(fourP, P)
+    assert mestre.morphism_degree(inst, fiveP) == 100 == 4 * 5**2
+
+
 def test_degree_parallelogram_on_samples():
     for a, b in ((1, 1), (2, 12), (-1, 3), (3, -2)):
         inst = mestre.build(a, b)
