@@ -15,10 +15,6 @@ from .conditions import (
     SearchBudget,
     certificate_to_json,
     check_condition,
-    condition_discriminant_diagnostic,
-    condition_one_torsion,
-    condition_split,
-    condition_split_strong,
     enumerate_divisors,
     find_t0,
     replay_certificate,
@@ -82,10 +78,6 @@ __all__ = [
     "SquareClass",
     "certificate_to_json",
     "check_condition",
-    "condition_discriminant_diagnostic",
-    "condition_one_torsion",
-    "condition_split",
-    "condition_split_strong",
     "cubic_discriminant",
     "divisibility_bound",
     "dual_curve",

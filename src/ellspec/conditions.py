@@ -37,10 +37,6 @@ __all__ = [
     "BudgetExhausted",
     "enumerate_divisors",
     "check_condition",
-    "condition_split",
-    "condition_split_strong",
-    "condition_one_torsion",
-    "condition_discriminant_diagnostic",
     "lemma_nonsingular_checks",
     "find_t0",
     "t0_candidates",
@@ -251,27 +247,6 @@ def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionRepo
     return _evaluate(curve, condition, prepared, Fraction(t0))
 
 
-def condition_split(curve: Curve, t0) -> ConditionReport:
-    """Criterion for fully split curves (certifying)."""
-    return check_condition(curve, "A", t0)
-
-
-def condition_split_strong(curve: Curve, t0) -> ConditionReport:
-    """Stronger single-product variant on split curves (certifying)."""
-    return check_condition(curve, "Aprime", t0)
-
-
-def condition_one_torsion(curve: Curve, t0) -> ConditionReport:
-    """Criterion for curves with exactly one rational 2-torsion point
-    (certifying)."""
-    return check_condition(curve, "scriptA", t0)
-
-
-def condition_discriminant_diagnostic(curve: Curve, t0) -> ConditionReport:
-    """Discriminant-divisor and irreducibility diagnostic (non-certifying)."""
-    return check_condition(curve, "A1B", t0)
-
-
 def lemma_nonsingular_checks(curve: Curve, t0) -> tuple[bool, bool]:
     """(D(t0) != 0, specialized cubic has exactly one rational root)."""
     t0 = Fraction(t0)
@@ -314,13 +289,10 @@ def find_t0(
         raise ValueError(f"unknown condition {condition!r}")
     prepared = _prepare(curve, condition)
     for t0 in t0_candidates(budget):
+        # stop_early only cuts a failing report short, so a pass is complete
         report = _evaluate(curve, condition, prepared, t0, stop_early=True)
-        if condition == "A1B":
-            # stop_early skips the (B) subcheck; redo fully on a hit
-            if report.passed:
-                report = _evaluate(curve, condition, prepared, t0)
         if report.passed:
-            return _evaluate(curve, condition, prepared, t0)
+            return report
     raise BudgetExhausted(
         f"no t0 passing condition {condition} within {budget} (not a disproof)"
     )
@@ -341,9 +313,8 @@ def _curve_to_json(curve: Curve) -> dict:
     return out
 
 
-def certificate_to_json(report: ConditionReport) -> str:
-    """Serialize a condition report as a replayable JSON document."""
-    doc = {
+def _certificate_doc(report: ConditionReport) -> dict:
+    return {
         "schema": _SCHEMA,
         "condition": report.condition,
         "curve": _curve_to_json(report.curve),
@@ -364,7 +335,24 @@ def certificate_to_json(report: ConditionReport) -> str:
         "notes": report.notes,
         "subresults": report.subresults,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def certificate_to_json(report: ConditionReport) -> str:
+    """Serialize a condition report as a replayable JSON document."""
+    return json.dumps(_certificate_doc(report), indent=2, sort_keys=True)
+
+
+def _curve_from_json(cdoc) -> Curve:
+    from .parsing import parse_poly
+
+    if not isinstance(cdoc, dict):
+        raise ValueError("certificate curve must be an object")
+    split = "split_roots" in cdoc
+    texts = cdoc["split_roots"] if split else [cdoc.get(k) for k in "ABC"]
+    if not (isinstance(texts, list) and len(texts) == 3 and all(isinstance(x, str) for x in texts)):
+        raise ValueError("certificate curve needs three polynomials A, B, C or split_roots")
+    polys = [parse_poly(x) for x in texts]
+    return Curve.from_roots(*polys) if split else Curve(*polys)
 
 
 def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
@@ -372,35 +360,24 @@ def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
 
     Re-parses the curve, re-enumerates every divisor and recomputes every
     evaluation; returns (matches, fresh_report) where matches is True iff
-    the stored verdicts agree with the recomputation.
+    the stored document equals the fresh report's certificate in every
+    field.  A document that lacks a field, or whose curve or t0 cannot be
+    read, raises ValueError.
     """
     from .intmath import parse_rational
-    from .parsing import parse_poly
 
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if doc.get("schema") != _SCHEMA:
-        raise ValueError(f"unsupported certificate schema {doc.get('schema')!r}")
-    cdoc = doc["curve"]
-    if "split_roots" in cdoc:
-        roots = [parse_poly(s) for s in cdoc["split_roots"]]
-        curve = Curve.from_roots(*roots)
-    else:
-        curve = Curve(
-            parse_poly(cdoc["A"]), parse_poly(cdoc["B"]), parse_poly(cdoc["C"])
-        )
-    t0 = parse_rational(doc["t0"])
-    fresh = check_condition(curve, doc["condition"], t0)
-    stored = {
-        (c["target"], c["divisor"], c["value"], bool(c["square"]))
-        for c in doc["checks"]
-    }
-    recomputed = {
-        (c.target, str(c.divisor), str(c.value), c.is_square) for c in fresh.checks
-    }
-    matches = (
-        stored == recomputed
-        and bool(doc["passed"]) == fresh.passed
-        and str(fresh.discriminant_value) == doc["discriminant_value"]
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != _SCHEMA:
+        raise ValueError(f"unsupported certificate schema {schema!r}")
+    if not isinstance(doc.get("t0"), str):
+        raise ValueError("certificate t0 must be a string")
+    fresh = check_condition(
+        _curve_from_json(doc.get("curve")), doc.get("condition"), parse_rational(doc["t0"])
     )
-    return matches, fresh
+    expected = _certificate_doc(fresh)
+    missing = sorted(set(expected) - set(doc))
+    if missing:
+        raise ValueError(f"certificate lacks {', '.join(missing)}")
+    return doc == expected, fresh

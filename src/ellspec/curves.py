@@ -8,13 +8,12 @@ coordinates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .factorize import factor, rational_roots
-from .intpoly import IntPoly, cubic_discriminant, poly_sqrt
+from .factorize import _mignotte_bound, rational_roots
+from .intpoly import IntPoly, _from_balanced_digits, _horner, cubic_discriminant, poly_sqrt
 from .ratfunc import RatFunc
 
 __all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError", "XDecomposition"]
@@ -193,17 +192,11 @@ class Curve:
 
     def two_torsion(self) -> list[Point]:
         """O plus one point (e, 0) per rational root e of the cubic."""
-        points = [O]
-        for e in self._cubic_rational_roots():
-            zero = e - e
-            points.append(Point(e, zero))
-        return points
-
-    def _cubic_rational_roots(self):
         if self.field == "Q":
-            return _q_cubic_roots(self.A, self.B, self.C)
-        A, B, C = self.coeff_polys()
-        return _qt_cubic_roots(A, B, C)
+            roots = _q_cubic_roots(self.A, self.B, self.C)
+        else:
+            roots = _qt_cubic_roots(*self.coeff_polys())
+        return [O] + [Point(e, e - e) for e in roots]
 
     # -- x-coordinate decomposition ----------------------------------------
 
@@ -273,44 +266,21 @@ def _q_cubic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:
     return rational_roots(poly)
 
 
-def _all_divisors(p: IntPoly):
-    """All divisors of a nonzero p in Z[t], both signs."""
-    fac = factor(p)
-    prime_powers = [[q**e for e in range(mult + 1)] for q, mult in fac.content_primes]
-    poly_powers = [[g**e for e in range(mult + 1)] for g, mult in fac.poly_factors]
-    for combo in itertools.product(*(prime_powers + poly_powers)):
-        d = IntPoly.const(1)
-        for part in combo:
-            d = d * part
-        yield d
-        yield -d
-
-
 def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[RatFunc]:
     """Roots in Q(t) of monic x^3 + A x^2 + B x + C with Z[t] coefficients.
 
-    Such roots are integral over Z[t], hence lie in Z[t] and divide C.
+    Such roots are integral over Z[t], hence lie in Z[t], and each nonzero
+    one divides L, the first nonzero coefficient among C, B, A.  So its
+    coefficients are at most the Mignotte bound M of L, and it is rebuilt
+    from its value at N = 2M + 1 as balanced base-N digits; substitution
+    rejects the integer roots of the evaluated cubic that come from no
+    root in Z[t].
     """
+    L = next(f for f in (C, B, A) if not f.is_zero)
+    N = 2 * _mignotte_bound(L) + 1
     roots: list[RatFunc] = []
-    if C.is_zero:
-        roots.append(RatFunc(0))
-        # remaining quadratic x^2 + A x + B
-        if B.is_zero:
-            rA = RatFunc(A)
-            if not rA.is_zero and -rA not in roots:
-                roots.append(-rA)
-            return roots
-        disc = RatFunc(A * A - 4 * B)
-        s = disc.sqrt()
-        if s is not None:
-            for candidate in ((-RatFunc(A) + s) / 2, (-RatFunc(A) - s) / 2):
-                if candidate not in roots:
-                    roots.append(candidate)
-        return roots
-    for d in _all_divisors(C):
-        r = RatFunc(d)
-        if r in roots:
-            continue
+    for rho in rational_roots(IntPoly([_horner(f.coeffs, N) for f in (C, B, A)] + [1])):
+        r = _from_balanced_digits(int(rho), N)
         if r * r * r + A * r * r + B * r + C == 0:
-            roots.append(r)
+            roots.append(RatFunc(r))
     return roots

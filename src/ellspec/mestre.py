@@ -16,7 +16,6 @@ external input with provenance; it is never computed here.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -96,6 +95,8 @@ def build(a, b) -> MestreInstance:
     b = Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("the family requires ab != 0")
+    if 4 * a**3 + 27 * b**2 == 0:
+        raise ValueError("singular base curve: 4a^3 + 27b^2 = 0")
     u = _clearing_scale(a, b)
     ai = int(a * u**4)
     bi = int(b * u**6)
@@ -165,29 +166,22 @@ def injectivity_report(instance: MestreInstance, t0) -> ConditionReport:
     """Best applicable criterion at t0 for this instance.
 
     E_g has a rational 2-torsion point exactly when x^3 + ax + b has a
-    rational root r (giving e1 = r*g).  With an integer root the model is
-    shifted to y^2 = x^3 + 3rg x^2 + (3r^2+a)g^2 x and the certifying
-    one-torsion (or split) criterion applies; otherwise only the
-    non-certifying discriminant diagnostic is available.
+    rational root r (giving e1 = r*g).  With the smallest integer root r
+    the model is shifted to y^2 = x^3 + 3rg x^2 + (3r^2+a)g^2 x and the
+    certifying one-torsion criterion applies, or the split criterion when
+    all three roots are rational; otherwise only the non-certifying
+    discriminant diagnostic is available.
     """
-    a, b, g = instance.a, instance.b, instance.g
-    cubic = IntPoly([b, a, 0, 1])
-    roots = [r for r in rational_roots(cubic) if r.denominator == 1]
+    a, g = instance.a, instance.g
+    roots = [int(r) for r in rational_roots(IntPoly([instance.b, a, 0, 1]))]
     if not roots:
         return check_condition(instance.curve, "A1B", t0)
-    r = int(roots[0])
-    A = 3 * r * g
-    B = (3 * r * r + a) * g * g
-    quad_disc_const = -(3 * r * r + 4 * a)  # A^2 - 4B = quad_disc_const * g^2
-    root_const = math.isqrt(quad_disc_const) if quad_disc_const >= 0 else None
-    if root_const is not None and root_const * root_const == quad_disc_const:
-        # fully split shifted model
-        e1 = IntPoly()
-        e2 = ((-3 * r + root_const) * g).exact_div(IntPoly.const(2))
-        e3 = ((-3 * r - root_const) * g).exact_div(IntPoly.const(2))
-        split = Curve.from_roots(RatFunc(e1), RatFunc(e2), RatFunc(e3))
+    r = roots[0]
+    if len(roots) == 3:
+        e2, e3 = (RatFunc((s - r) * g) for s in (roots[2], roots[1]))
+        split = Curve.from_roots(RatFunc(0), e2, e3)
         return check_condition(split, "A", t0)
-    shifted = Curve(RatFunc(A), RatFunc(B), RatFunc(0))
+    shifted = Curve(RatFunc(3 * r * g), RatFunc((3 * r * r + a) * g * g), RatFunc(0))
     return check_condition(shifted, "scriptA", t0)
 
 

@@ -10,6 +10,11 @@ import ellspec
 from ellspec.cli import main
 
 
+def test_every_public_name_resolves():
+    for name in ellspec.__all__:
+        assert hasattr(ellspec, name), name
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -133,6 +138,46 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
+def _replay_edited(tmp_path, capsys, edit, *check_argv):
+    code, out, _ = run(capsys, "check", *check_argv, "--json")
+    doc = json.loads(out)
+    edit(doc)
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(doc))
+    return run(capsys, "check", "--replay", str(cert))
+
+
+_A1B_PASS = ("--condition", "A1B", "--curve", "y^2 = x^3 + t*x + 1", "--t0", "3")
+_SPLIT = ("--condition", "A", "--curve", "e=(0, t, 7*t+1)", "--t0", "1/21")
+
+
+def test_replay_rejects_a_diagnostic_claiming_to_certify(tmp_path, capsys):
+    code, out, _ = _replay_edited(tmp_path, capsys, lambda doc: None, *_A1B_PASS)
+    assert code == 0 and "MATCHES" in out
+    code, out, _ = _replay_edited(
+        tmp_path, capsys, lambda doc: doc.update(certifying=True), *_A1B_PASS
+    )
+    assert code == 1
+    assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("checks"),
+        lambda doc: doc["curve"].update(split_roots=None),
+        lambda doc: doc["curve"].update(split_roots=["t", "0"]),
+        lambda doc: doc.update(t0=3),
+        lambda doc: doc.update(curve="e=(0, t, 7*t+1)"),
+    ],
+    ids=["no checks", "null split_roots", "two split_roots", "numeric t0", "curve string"],
+)
+def test_replay_of_a_malformed_certificate_exits_2(tmp_path, capsys, edit):
+    code, out, err = _replay_edited(tmp_path, capsys, edit, *_SPLIT)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_curve_from_file(tmp_path, capsys):
     path = tmp_path / "curve.txt"
     path.write_text("y^2 = x^3 + t^2*x^2 - x\n")
@@ -148,6 +193,12 @@ def test_mestre_command(capsys):
     assert code == 0
     assert "deg(P) = 4, deg(Q) = 4" in out
     assert "PASS" in out
+
+
+def test_mestre_singular_base_curve_exits_2(capsys):
+    code, _, err = run(capsys, "mestre", "--a", "-3", "--b", "2")
+    assert code == 2
+    assert "singular base curve" in err
 
 
 def test_mestre_generator_conclusion_json(capsys):

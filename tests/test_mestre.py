@@ -1,12 +1,17 @@
 import json
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ellspec import mestre
+from ellspec.curves import O, Point
 from ellspec.factorize import factor
 from ellspec.intpoly import IntPoly, squarefree_decompose
 from ellspec.parsing import parse_poly
+from ellspec.ratfunc import RatFunc
 
 T = IntPoly.monomial(1, 1)
 
@@ -36,6 +41,10 @@ def test_build_validates_parameters():
         mestre.build(0, 5)
     with pytest.raises(ValueError):
         mestre.build(5, 0)
+    # 4a^3 + 27b^2 = 0: the base curve x^3 + ax + b has a double root
+    for a, b in ((-3, 2), (Fraction(-3, 4), Fraction(1, 4))):
+        with pytest.raises(ValueError, match="singular base curve"):
+            mestre.build(a, b)
 
 
 def test_build_puts_points_on_curve():
@@ -59,8 +68,6 @@ def test_morphism_degrees():
     assert mestre.morphism_degree(inst, inst.Q) == 4
     assert mestre.morphism_degree(inst, inst.curve.add(inst.P, inst.Q)) == 8
     assert mestre.morphism_degree(inst, inst.curve.sub(inst.P, inst.Q)) == 8
-    from ellspec.curves import O
-
     assert mestre.morphism_degree(inst, O) == 0
 
 
@@ -105,6 +112,34 @@ def test_injectivity_report_with_integer_root():
     rep = mestre.injectivity_report(inst, 4)
     assert rep.certifying and rep.passed
     assert rep.condition == "scriptA"
+
+
+def test_two_torsion_on_the_twist():
+    # x^3 + x + 1 has no rational root; x^3 + 2x + 12 has only -2
+    for (a, b), expected in (((1, 1), [O]), ((2, 12), None)):
+        inst = mestre.build(a, b)
+        start = time.perf_counter()
+        points = inst.curve.two_torsion()
+        assert time.perf_counter() - start < 1.0
+        if expected is None:
+            expected = [O, Point(RatFunc(-2 * inst.g), RatFunc(0))]
+        assert points == expected
+
+
+def test_injectivity_report_on_a_split_member():
+    # x^3 - 7x + 6 = (x - 1)(x - 2)(x + 3): the split criterion applies
+    pytest.importorskip("sympy")
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from oracle import _coeffs, twist_model
+
+    condition, _, roots = twist_model(-7, 6)
+    rep = mestre.injectivity_report(mestre.build(-7, 6), 3)
+    assert rep.condition == condition == "A"
+    assert tuple(e.coeffs for e in rep.curve.split_root_polys()) == tuple(
+        _coeffs(e) for e in roots
+    )
 
 
 def test_injectivity_report_without_rational_root():
