@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 from .curves import Curve, _q_cubic_roots
 from .factorize import factor
 from .intmath import is_square_rat
-from .intpoly import IntPoly, poly_sqrt
+from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
 
 __all__ = [
     "CONDITION_NAMES",
@@ -113,25 +113,29 @@ def enumerate_divisors(target: IntPoly) -> list[IntPoly]:
     """
     if target.is_zero:
         raise ValueError("zero target")
-    fac = factor(target)
+    return [h for h, _, _ in _divisor_products(factor(target))[1]]
+
+
+def _divisor_products(fac) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tuple[int, ...]]]]:
+    """The distinct primitive irreducible factors g_i of a factorization,
+    and every divisor as (h, c, idx) with h = c * prod(g_i for i in idx),
+    in the order of enumerate_divisors."""
     primes = [q for q, _ in fac.content_primes]
     polys = [g for g, _ in fac.poly_factors]
-    out: list[IntPoly] = []
+    out = []
     for r in range(1, len(polys) + 1):
-        for poly_subset in itertools.combinations(polys, r):
+        for idx in itertools.combinations(range(len(polys)), r):
             base = IntPoly.const(1)
-            for g in poly_subset:
-                base = base * g
+            for i in idx:
+                base = base * polys[i]
             for s in range(len(primes) + 1):
                 for prime_subset in itertools.combinations(primes, s):
-                    c = 1
-                    for q in prime_subset:
-                        c *= q
+                    c = math.prod(prime_subset)
                     h = c * base
-                    out.append(h)
-                    out.append(-h)
-    out.sort(key=lambda h: (h.degree, abs(h.lc), h.lc < 0, h.coeffs))
-    return out
+                    out.append((h, c, idx))
+                    out.append((-h, -c, idx))
+    out.sort(key=lambda d: (d[0].degree, abs(d[0].lc), d[0].lc < 0, d[0].coeffs))
+    return polys, out
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +183,30 @@ _TARGET_BUILDERS = {
 }
 
 
-def _prepare(curve: Curve, condition: str) -> list[tuple[str, list[IntPoly]]]:
-    builder = _TARGET_BUILDERS[condition]
-    prepared = []
-    for label, target in builder(curve):
+def _prepare(curve: Curve, condition: str):
+    """Everything the evaluation at one t0 needs that does not depend on
+    t0: (discriminant, (A, B, C) for A1B or None, targets), each target
+    as (label, factors, divisors), its distinct irreducible factors and
+    its divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx)."""
+    targets = []
+    for label, target in _TARGET_BUILDERS[condition](curve):
         if target.is_zero:
             raise ValueError(f"degenerate target {label} = 0")
-        divisors = [] if target.is_constant else enumerate_divisors(target)
-        prepared.append((label, divisors))
-    return prepared
+        factors, divisors = ([], []) if target.is_constant else _divisor_products(factor(target))
+        targets.append((label, factors, divisors))
+    cubic = curve.coeff_polys() if condition == "A1B" else None
+    return curve.discriminant_poly(), cubic, targets
 
 
 def _evaluate(
     curve: Curve,
     condition: str,
-    prepared: list[tuple[str, list[IntPoly]]],
+    prepared: tuple,
     t0: Fraction,
     stop_early: bool = False,
 ) -> ConditionReport:
-    D = curve.discriminant_poly()
-    Dv = D(t0)
+    discriminant, cubic, targets = prepared
+    Dv = discriminant(t0)
     certifying = condition in ("A", "Aprime", "scriptA")
     report = ConditionReport(
         condition=condition,
@@ -211,9 +219,12 @@ def _evaluate(
     if Dv == 0:
         report.notes.append("discriminant vanishes at t0: specialization is singular")
         return report
-    for label, divisors in prepared:
-        for h in divisors:
-            value = h(t0)
+    n, m = t0.numerator, t0.denominator
+    for label, factors, divisors in targets:
+        # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
+        values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
+        for h, c, idx in divisors:
+            value = Fraction(c * math.prod(values[i] for i in idx), m**h.degree)
             root = is_square_rat(value)
             report.checks.append(DivisorCheck(label, h, value, root))
             if root is not None:
@@ -225,7 +236,7 @@ def _evaluate(
         report.notes.append(
             "diagnostic only: passing is NOT an injectivity certificate"
         )
-        A, B, C = curve.coeff_polys()
+        A, B, C = cubic
         spec_roots = _q_cubic_roots(A(t0), B(t0), C(t0))
         a1_passed = report.passed
         b_passed = len(spec_roots) == 0

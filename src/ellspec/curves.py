@@ -8,11 +8,12 @@ coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .factorize import _mignotte_bound, rational_roots
+from .factorize import _mignotte_bound
 from .intpoly import IntPoly, _from_balanced_digits, _horner, cubic_discriminant, poly_sqrt
 from .ratfunc import RatFunc
 
@@ -195,7 +196,14 @@ class Curve:
         if self.field == "Q":
             roots = _q_cubic_roots(self.A, self.B, self.C)
         else:
-            roots = _qt_cubic_roots(*self.coeff_polys())
+            # x = X/d turns the cubic into the monic X^3 + dA X^2 + d^2B X
+            # + d^3C over Z[t], d the product of the denominators
+            d = self.A.den * self.B.den * self.C.den
+            scaled = [
+                (d**k * f.num).exact_div(f.den)
+                for k, f in ((1, self.A), (2, self.B), (3, self.C))
+            ]
+            roots = [RatFunc(X.num, d) for X in _qt_cubic_roots(*scaled)]
         return [O] + [Point(e, e - e) for e in roots]
 
     # -- x-coordinate decomposition ----------------------------------------
@@ -247,23 +255,57 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 
-def _q_cubic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:
-    import math
+def _int_cubic_roots(a: int, b: int, c: int) -> list[int]:
+    """Distinct integer roots, ascending, of y^3 + a y^2 + b y + c.
 
-    lcm = 1
-    for f in (A, B, C):
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    # clear denominators without disturbing roots: scale x by 1 and use
-    # the integer polynomial lcm * (x^3 + A x^2 + B x + C)
-    poly = IntPoly(
-        [
-            int(C * lcm),
-            int(B * lcm),
-            int(A * lcm),
-            lcm,
+    Every root lies within the Cauchy bound M = 1 + max(|a|, |b|, |c|).
+    With s = isqrt(a^2 - 3b) the integers y split into 3y < -a - s,
+    -a - s <= 3y <= -a + s and 3y > -a + s; the critical points
+    (-a -+ sqrt(a^2 - 3b))/3 lie in the middle part, so the cubic is
+    strictly monotone on each part and exact bisection finds its only
+    possible root there.  When a^2 - 3b <= 0 it is monotone throughout.
+    """
+
+    def f(y: int) -> int:
+        return ((y + a) * y + b) * y + c
+
+    M = 1 + max(abs(a), abs(b), abs(c))
+    disc = a * a - 3 * b
+    if disc <= 0:
+        pieces = [(-M, M, 1)]
+    else:
+        s = math.isqrt(disc)
+        pieces = [
+            (-M, (-a - s - 1) // 3, 1),
+            (-((a + s) // 3), (-a + s) // 3, -1),
+            (-((a - s - 1) // 3), M, 1),
         ]
-    )
-    return rational_roots(poly)
+    roots = []
+    for lo, hi, sign in pieces:
+        lo, hi = max(lo, -M), min(hi, M)
+        if lo > hi or sign * f(hi) < 0:
+            continue
+        # smallest y in [lo, hi] with sign * f(y) >= 0, or hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots
+
+
+def _q_cubic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:
+    """Distinct rational roots, ascending, of x^3 + A x^2 + B x + C.
+
+    With d the lcm of the denominators, y = d x is a root of the monic
+    y^3 + dA y^2 + d^2B y + d^3C over Z, so y is an integer.
+    """
+    d = math.lcm(A.denominator, B.denominator, C.denominator)
+    ys = _int_cubic_roots(int(d * A), int(d * d * B), int(d**3 * C))
+    return [Fraction(y, d) for y in ys]
 
 
 def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[RatFunc]:
@@ -279,8 +321,8 @@ def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[RatFunc]:
     L = next(f for f in (C, B, A) if not f.is_zero)
     N = 2 * _mignotte_bound(L) + 1
     roots: list[RatFunc] = []
-    for rho in rational_roots(IntPoly([_horner(f.coeffs, N) for f in (C, B, A)] + [1])):
-        r = _from_balanced_digits(int(rho), N)
+    for rho in _int_cubic_roots(*(_horner(f.coeffs, N) for f in (A, B, C))):
+        r = _from_balanced_digits(rho, N)
         if r * r * r + A * r * r + B * r + C == 0:
             roots.append(RatFunc(r))
     return roots

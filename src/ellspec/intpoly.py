@@ -150,23 +150,16 @@ class IntPoly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self._c)
-
     def derivative(self) -> "IntPoly":
         return IntPoly(i * self._c[i] for i in range(1, len(self._c)))
 
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, t0) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * t0 + c
-        return acc
+        """Exact value at a rational point n/m, as m^deg * self(n/m),
+        an integer, over m^deg."""
+        m = t0.denominator
+        return Fraction(_horner_homogeneous(self._c, t0.numerator, m), m ** max(self.degree, 0))
 
     # -- content / primitive part --------------------------------------
 
@@ -359,6 +352,15 @@ def _horner(coeffs: tuple[int, ...], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
+    return acc
+
+
+def _horner_homogeneous(coeffs: tuple[int, ...], n: int, m: int) -> int:
+    """m^deg * g(n/m) for the g with these coefficients, deg = len - 1."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * scale
+        scale *= m
     return acc
 
 

@@ -25,8 +25,7 @@ from .conditions import (
     certificate_to_json,
     check_condition,
 )
-from .curves import Curve, O, Point
-from .factorize import rational_roots
+from .curves import Curve, O, Point, _int_cubic_roots
 from .intmath import factor_int
 from .intpoly import IntPoly, squarefree_decompose
 from .ratfunc import RatFunc
@@ -173,7 +172,7 @@ def injectivity_report(instance: MestreInstance, t0) -> ConditionReport:
     discriminant diagnostic is available.
     """
     a, g = instance.a, instance.g
-    roots = [int(r) for r in rational_roots(IntPoly([instance.b, a, 0, 1]))]
+    roots = _int_cubic_roots(0, a, instance.b)
     if not roots:
         return check_condition(instance.curve, "A1B", t0)
     r = roots[0]

@@ -7,7 +7,9 @@ Grammar (also used by the printers, so parse-print-parse is a fixpoint):
     factor := ('-')* base ('^' uint)?
     base   := uint | 't' | 'x' | '(' expr ')'
 
-Division is only allowed by x-free subexpressions.  Curves accept three
+Division is only allowed by x-free subexpressions.  An exponent, a power
+or a product whose degree in t or x would exceed MAX_DEGREE is rejected
+before it is computed.  Curves accept three
 forms: "e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." and the
 equation form "y^2 = x^3 + ...".
 """
@@ -21,6 +23,8 @@ from .intpoly import IntPoly
 from .ratfunc import RatFunc
 
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
+
+MAX_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -74,6 +78,12 @@ class _XPoly:
     def scalar_value(self) -> RatFunc:
         return self.coeffs[0] if self.coeffs else RatFunc(0)
 
+    @property
+    def degree(self) -> int:
+        """Largest degree in x or in t of a numerator or denominator."""
+        t_degree = max((max(c.num.degree, c.den.degree) for c in self.coeffs), default=0)
+        return max(len(self.coeffs) - 1, t_degree)
+
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         zero = RatFunc(0)
@@ -104,6 +114,11 @@ class _XPoly:
             base = base * base
             e >>= 1
         return result
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit {MAX_DEGREE}", pos)
 
 
 class _Parser:
@@ -150,6 +165,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.parse_factor()
+                _check_degree(value.degree + rhs.degree, pos)
                 if op == "*":
                     value = value * rhs
                 else:
@@ -177,6 +193,9 @@ class _Parser:
             kind, exp, pos = self.peek()
             if kind != "int":
                 raise ParseError("expected a nonnegative integer exponent", pos)
+            if exp > MAX_DEGREE:
+                raise ParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", pos)
+            _check_degree(exp * base.degree, pos)
             self.advance()
             return base**exp
         return base

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,23 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "specialize", "--curve", "e=(0,t,2*t)",
                        "--point", "O", "--t0", "1/0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "t^999999999"),
+        ("factor", "2^999999999"),
+        ("factor", "((t^10)^10)^11"),  # each exponent is small, the degree is not
+        ("factor", "t^1000*t"),
+        ("check", "--condition", "A", "--curve", "e=(0, t^999999999, 1)", "--t0", "1"),
+    ],
+)
+def test_huge_degree_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "exceeds the limit" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from ellspec.conditions import (
+    _TARGET_BUILDERS,
     BudgetExhausted,
     SearchBudget,
     certificate_to_json,
@@ -20,6 +22,11 @@ from ellspec.intmath import is_square_rat
 from ellspec.intpoly import IntPoly, squarefree_part
 from ellspec.parsing import parse_curve, parse_poly
 from ellspec.ratfunc import RatFunc
+from samples import (
+    random_c0_curve_with_point,
+    random_qt_curve_with_points,
+    random_split_curve_with_point,
+)
 
 T = IntPoly.monomial(1, 1)
 t = RatFunc(T)
@@ -210,3 +217,52 @@ def test_divisor_values_are_exact():
     for chk in rep.checks:
         assert chk.value == chk.divisor(Fraction(1, 21))
         assert (chk.square_root is None) == (is_square_rat(chk.value) is None)
+
+
+def _integral_model(curve: Curve) -> Curve:
+    """The model y^2 = x^3 + dA x^2 + d^2B x + d^3C over Z[t], with d the
+    product of the denominators of A, B and C."""
+    d = curve.A.den * curve.B.den * curve.C.den
+    A, B, C = (RatFunc(d**k * f.num, f.den) for k, f in ((1, curve.A), (2, curve.B), (3, curve.C)))
+    return Curve(A, B, C)
+
+
+def _fraction_horner(h: IntPoly, t0: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(h.coeffs):
+        acc = acc * t0 + c
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["split", "C=0", "general"])
+def test_divisor_values_are_divisors_at_t0(kind):
+    rng = random.Random(f"divisor values {kind}")
+    reports = []
+    while len(reports) < 40:
+        if kind == "split":
+            curve, _ = random_split_curve_with_point(rng)
+            condition = rng.choice(["A", "Aprime"])
+        elif kind == "C=0":
+            curve, _ = random_c0_curve_with_point(rng)
+            condition = "scriptA"
+        else:
+            curve = _integral_model(random_qt_curve_with_points(rng)[0])
+            condition = "A1B"
+        try:
+            for t0 in (Fraction(2), Fraction(-3, 5), Fraction(7, 4)):
+                rep = check_condition(curve, condition, t0)
+                if rep.discriminant_value:  # every divisor, in enumeration order
+                    targets = _TARGET_BUILDERS[condition](curve)
+                    assert [c.divisor for c in rep.checks] == [
+                        h for _, target in targets for h in enumerate_divisors(target)
+                    ]
+                reports.append(rep)
+            reports.append(find_t0(curve, condition, SearchBudget(8, 4)))
+        except ValueError:  # scriptA on a curve whose cubic splits
+            continue
+        except BudgetExhausted:
+            pass
+    checks = [(rep.t0, chk) for rep in reports for chk in rep.checks]
+    assert len(checks) > 100
+    for t0, chk in checks:
+        assert chk.value == chk.divisor(t0) == _fraction_horner(chk.divisor, t0)

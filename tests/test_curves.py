@@ -5,6 +5,7 @@ import pytest
 
 from ellspec.curves import Curve, O, OffCurveError, Point, SingularCurveError
 from ellspec.intpoly import IntPoly
+from ellspec.parsing import parse_curve
 from ellspec.ratfunc import RatFunc
 from samples import (
     random_q_curve_with_points,
@@ -107,6 +108,19 @@ def test_two_torsion_over_qt():
     # discriminant t^4 + 4, so only (0, 0) survives
     curve2 = Curve(t * t, RatFunc(-1), RatFunc(0))
     assert len(curve2.two_torsion()) == 2
+
+
+def test_two_torsion_with_denominators():
+    curve = parse_curve("y^2 = x^3 + (t/2)*x^2 + (-t^2/2)*x")
+    xs = {P.x for P in curve.two_torsion() if not P.is_infinity}
+    assert xs == {RatFunc(0), -t, t / 2}
+
+    # x (x - 1/t)(x - t): a polynomial denominator
+    curve2 = Curve.from_roots(RatFunc(0), 1 / t, t)
+    xs = {P.x for P in curve2.two_torsion() if not P.is_infinity}
+    assert xs == {RatFunc(0), 1 / t, t}
+    for P in curve2.two_torsion():
+        assert curve2.add(P, P) == O
 
 
 def test_x_decompose():

@@ -5,6 +5,7 @@ import pytest
 from ellspec.curves import O
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import (
+    MAX_DEGREE,
     ParseError,
     parse_curve,
     parse_point,
@@ -49,6 +50,18 @@ def test_parse_errors_carry_positions():
         parse_poly("t~1")
     with pytest.raises(ParseError):
         parse_ratfunc("1/0")
+
+
+def test_degree_limit():
+    assert parse_poly("t^1000") == T**MAX_DEGREE
+    assert parse_ratfunc("(1/t^500)^2") == 1 / t**1000
+    # rejected before computing, at the exponent or the operator
+    for text, position in [("t^1001", 2), ("(t^500)^3", 8), ("(1/t^500)/t^501", 9)]:
+        with pytest.raises(ParseError) as exc:
+            parse_ratfunc(text)
+        assert exc.value.position == position
+    with pytest.raises(ParseError):
+        parse_curve("y^2 = x^3 + x^1001")
 
 
 def test_parse_curve_split_form():
