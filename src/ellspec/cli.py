@@ -17,6 +17,7 @@ from .conditions import (
     CONDITION_NAMES,
     BudgetExhausted,
     SearchBudget,
+    _certificate_doc,
     certificate_to_json,
     check_condition,
     find_t0,
@@ -142,7 +143,7 @@ def _cmd_check(args) -> int:
             raise UsageError(f"cannot read {args.replay!r}: {exc}") from exc
         matches, fresh = replay_certificate(doc)
         if args.json:
-            out = json.loads(certificate_to_json(fresh))
+            out = _certificate_doc(fresh)
             out["replay_matches"] = matches
             print(json.dumps(out, indent=2, sort_keys=True))
         else:
@@ -239,7 +240,7 @@ def _cmd_mestre(args) -> int:
             "small_degree_excluded": mestre.small_degree_exclusion(instance),
         }
         if report is not None:
-            doc["injectivity"] = json.loads(certificate_to_json(report))
+            doc["injectivity"] = _certificate_doc(report)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"(a, b) = ({instance.a}, {instance.b}), scale u = {instance.scale}")

@@ -188,6 +188,8 @@ def _prepare(curve: Curve, condition: str):
     t0: (discriminant, (A, B, C) for A1B or None, targets), each target
     as (label, factors, divisors), its distinct irreducible factors and
     its divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx)."""
+    if condition not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
     targets = []
     for label, target in _TARGET_BUILDERS[condition](curve):
         if target.is_zero:
@@ -252,8 +254,6 @@ def _evaluate(
 
 def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionReport:
     """Run one of the four criteria at t0 and return the full report."""
-    if condition not in CONDITION_NAMES:
-        raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
     prepared = _prepare(curve, condition)
     return _evaluate(curve, condition, prepared, Fraction(t0))
 
@@ -296,8 +296,6 @@ def find_t0(
 ) -> ConditionReport:
     """First t0 in the documented enumeration order passing the given
     criterion; raises BudgetExhausted when none is found in budget."""
-    if condition not in CONDITION_NAMES:
-        raise ValueError(f"unknown condition {condition!r}")
     prepared = _prepare(curve, condition)
     for t0 in t0_candidates(budget):
         # stop_early only cuts a failing report short, so a pass is complete

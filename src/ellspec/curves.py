@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .factorize import _mignotte_bound
 from .intpoly import IntPoly, _from_balanced_digits, _horner, cubic_discriminant, poly_sqrt
@@ -74,36 +73,31 @@ def _coerce_field(value):
 class Curve:
     """Nonsingular cubic y^2 = x^3 + A x^2 + B x + C over Q or Q(t)."""
 
-    def __init__(self, A, B, C, split_roots=None):
+    def __init__(self, A, B, C):
         self.A = _coerce_field(A)
         self.B = _coerce_field(B)
         self.C = _coerce_field(C)
+        self.split_roots = None
         if isinstance(self.A, RatFunc) or isinstance(self.B, RatFunc) or isinstance(self.C, RatFunc):
             self.A = RatFunc._coerce(self.A)
             self.B = RatFunc._coerce(self.B)
             self.C = RatFunc._coerce(self.C)
             self.field = "Q(t)"
+            # x = X/d turns the cubic into the monic X^3 + aX^2 + bX + c with
+            # a, b, c = dA, d^2B, d^3C in Z[t], d the product of the
+            # denominators; its discriminant is d^6 times that of the cubic
+            d = self.A.den * self.B.den * self.C.den
+            self._model = tuple(
+                (d**k * f.num).exact_div(f.den)
+                for k, f in ((1, self.A), (2, self.B), (3, self.C))
+            )
+            self._model_den = d
+            self.disc_cubic = RatFunc(cubic_discriminant(*self._model), d**6)
         else:
             self.field = "Q"
-        a, b, c = self.A, self.B, self.C
-        self.disc_cubic = (
-            18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
-        )
+            self.disc_cubic = cubic_discriminant(self.A, self.B, self.C)
         if not self.disc_cubic:
             raise SingularCurveError(self.disc_cubic)
-        self.discriminant = 16 * self.disc_cubic
-        if split_roots is not None:
-            roots = tuple(_coerce_field(e) for e in split_roots)
-            e1, e2, e3 = roots
-            if (
-                -(e1 + e2 + e3) != self.A
-                or e1 * e2 + e1 * e3 + e2 * e3 != self.B
-                or -(e1 * e2 * e3) != self.C
-            ):
-                raise ValueError("split roots do not expand to (A, B, C)")
-            self.split_roots = roots
-        else:
-            self.split_roots = None
 
     # -- constructors --------------------------------------------------
 
@@ -113,7 +107,9 @@ class Curve:
         A = -(e1 + e2 + e3)
         B = e1 * e2 + e1 * e3 + e2 * e3
         C = -(e1 * e2 * e3)
-        return cls(A, B, C, split_roots=(e1, e2, e3))
+        curve = cls(A, B, C)
+        curve.split_roots = (e1, e2, e3)
+        return curve
 
     # -- coefficient access --------------------------------------------
 
@@ -121,12 +117,14 @@ class Curve:
         """(A, B, C) as elements of Z[t]; raises for other coefficient rings."""
         if self.field != "Q(t)":
             raise ValueError("curve is not defined over Q(t)")
-        return self.A.as_poly(), self.B.as_poly(), self.C.as_poly()
+        if self._model_den != 1:
+            raise ValueError(f"coefficients of {self} are not all in Z[t]")
+        return self._model
 
     def discriminant_poly(self) -> IntPoly:
         """Discriminant of the cubic as an element of Z[t]."""
-        A, B, C = self.coeff_polys()
-        return cubic_discriminant(A, B, C)
+        self.coeff_polys()
+        return self.disc_cubic.num
 
     def split_root_polys(self) -> tuple[IntPoly, IntPoly, IntPoly]:
         if self.split_roots is None:
@@ -196,14 +194,7 @@ class Curve:
         if self.field == "Q":
             roots = _q_cubic_roots(self.A, self.B, self.C)
         else:
-            # x = X/d turns the cubic into the monic X^3 + dA X^2 + d^2B X
-            # + d^3C over Z[t], d the product of the denominators
-            d = self.A.den * self.B.den * self.C.den
-            scaled = [
-                (d**k * f.num).exact_div(f.den)
-                for k, f in ((1, self.A), (2, self.B), (3, self.C))
-            ]
-            roots = [RatFunc(X.num, d) for X in _qt_cubic_roots(*scaled)]
+            roots = [RatFunc(X.num, self._model_den) for X in _qt_cubic_roots(*self._model)]
         return [O] + [Point(e, e - e) for e in roots]
 
     # -- x-coordinate decomposition ----------------------------------------
@@ -226,7 +217,7 @@ class Curve:
 
     def j_invariant(self):
         c4 = 16 * self.A * self.A - 48 * self.B
-        return c4 * c4 * c4 / self.discriminant
+        return c4 * c4 * c4 / (16 * self.disc_cubic)
 
     def is_nonconstant(self) -> bool:
         """True when the model is non-isotrivial: j is nonconstant in Q(t)."""

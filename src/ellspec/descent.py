@@ -75,9 +75,7 @@ def theta(curve: Curve, i: int, P: Point) -> SquareClass:
     x = RatFunc._coerce(P.x)
     delta = x - RatFunc(e)
     if delta.is_zero:
-        j, k = [m for m in (0, 1, 2) if m != i - 1]
-        prod = (roots[j] - e) * (roots[k] - e)
-        return SquareClass(squarefree_part(prod))
+        return SquareClass(squarefree_part(divisibility_bound(curve, i)))
     return SquareClass(square_class_rep(delta))
 
 

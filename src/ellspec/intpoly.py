@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .intmath import exact_isqrt, factor_int
 
@@ -275,11 +275,10 @@ class IntPoly:
         return f"IntPoly({self})"
 
 
-def cubic_discriminant(A, B, C) -> IntPoly:
-    """Discriminant of x^3 + A x^2 + B x + C with A, B, C in Z[t]."""
-    A = IntPoly.coerce(A)
-    B = IntPoly.coerce(B)
-    C = IntPoly.coerce(C)
+def cubic_discriminant(A, B, C):
+    """Discriminant of x^3 + A x^2 + B x + C, computed in the ring of
+    A, B and C: an IntPoly for coefficients in Z[t], a Fraction for
+    coefficients in Q."""
     return (
         18 * A * B * C
         - 4 * A * A * A * C

@@ -22,10 +22,10 @@ from typing import Optional
 
 from .conditions import (
     ConditionReport,
-    certificate_to_json,
+    _certificate_doc,
     check_condition,
 )
-from .curves import Curve, O, Point, _int_cubic_roots
+from .curves import Curve, Point, _int_cubic_roots
 from .intmath import factor_int
 from .intpoly import IntPoly, squarefree_decompose
 from .ratfunc import RatFunc
@@ -212,9 +212,7 @@ class GeneratorConclusion:
             "notes": self.notes,
         }
         if self.injectivity_report is not None:
-            doc["injectivity_certificate"] = json.loads(
-                certificate_to_json(self.injectivity_report)
-            )
+            doc["injectivity_certificate"] = _certificate_doc(self.injectivity_report)
         return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -20,7 +20,7 @@ from ellspec.conditions import (
 from ellspec.curves import Curve
 from ellspec.intmath import is_square_rat
 from ellspec.intpoly import IntPoly, squarefree_part
-from ellspec.parsing import parse_curve, parse_poly
+from ellspec.parsing import parse_curve
 from ellspec.ratfunc import RatFunc
 from samples import (
     random_c0_curve_with_point,
@@ -132,8 +132,19 @@ def test_singular_t0_always_fails():
 
 
 def test_unknown_condition_rejected():
-    with pytest.raises(ValueError):
-        check_condition(parse_curve("y^2 = x^3 - x + t^2"), "bogus", 1)
+    curve = parse_curve("y^2 = x^3 - x + t^2")
+    doc = json.loads(certificate_to_json(check_condition(curve, "A1B", 1)))
+    doc["condition"] = "bogus"
+    calls = [
+        lambda: check_condition(curve, "bogus", 1),
+        lambda: find_t0(curve, "bogus", SearchBudget(3, 2)),
+        lambda: replay_certificate(doc),
+    ]
+    message = "unknown condition 'bogus'; choose from ('A', 'Aprime', 'scriptA', 'A1B')"
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_lemma_nonsingular_checks():

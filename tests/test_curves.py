@@ -133,17 +133,42 @@ def test_x_decompose():
     assert dec1.p == IntPoly.const(1) and dec1.q == IntPoly.const(1)
 
 
-def test_split_roots_validation():
-    with pytest.raises(ValueError):
-        Curve(RatFunc(0), RatFunc(-1), RatFunc(0), split_roots=(RatFunc(0), t, -t))
-
-
 def test_from_roots_expansion():
     rng = random.Random(404)
     for _ in range(10):
         curve, P = random_split_curve_with_point(rng)
         e1, e2, e3 = curve.split_roots
         assert curve.rhs(P.x) == (P.x - e1) * (P.x - e2) * (P.x - e3)
+
+
+def _field_discriminant(curve):
+    """The cubic's discriminant spelled out in the coefficient field."""
+    a, b, c = curve.A, curve.B, curve.C
+    return 18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
+
+
+def test_disc_cubic_matches_the_field_formula():
+    rng = random.Random(505)
+    curves = [random_q_curve_with_points(rng)[0] for _ in range(10)]
+    curves += [random_qt_curve_with_points(rng)[0] for _ in range(10)]
+    curves += [random_split_curve_with_point(rng)[0] for _ in range(5)]
+    curves.append(parse_curve("y^2 = x^3 + (t/2)*x^2 + (-t^2/2)*x"))  # constant denominator
+    curves.append(Curve.from_roots(RatFunc(0), 1 / t, t))  # polynomial denominator
+    for curve in curves:
+        assert curve.disc_cubic == _field_discriminant(curve), curve
+
+
+def test_a_denominator_keeps_the_z_t_accessors_closed():
+    curve = Curve.from_roots(RatFunc(0), 1 / t, t)
+    with pytest.raises(ValueError):
+        curve.coeff_polys()
+    with pytest.raises(ValueError):
+        curve.discriminant_poly()
+    xs = {P.x for P in curve.two_torsion() if not P.is_infinity}
+    assert xs == {RatFunc(0), 1 / t, t}
+
+    integral = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
+    assert integral.discriminant_poly() == _field_discriminant(integral).as_poly()
 
 
 def test_j_invariant_and_isotriviality():

@@ -1,6 +1,6 @@
 import random
 
-from ellspec.factorize import Factorization, factor, is_irreducible, rational_roots
+from ellspec.factorize import factor, is_irreducible, rational_roots
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import parse_poly
 

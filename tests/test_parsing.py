@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from ellspec.curves import O
