@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .curves import Curve, _q_cubic_roots
+from .descent import divisibility_bound
 from .factorize import factor
 from .intmath import is_square_rat
 from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
@@ -144,12 +145,8 @@ def _divisor_products(fac) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tupl
 
 
 def _split_targets(curve: Curve) -> list[tuple[str, IntPoly]]:
-    e1, e2, e3 = curve.split_root_polys()
-    return [
-        ("(e2-e1)(e3-e1)", (e2 - e1) * (e3 - e1)),
-        ("(e1-e2)(e3-e2)", (e1 - e2) * (e3 - e2)),
-        ("(e1-e3)(e2-e3)", (e1 - e3) * (e2 - e3)),
-    ]
+    labels = ("(e2-e1)(e3-e1)", "(e1-e2)(e3-e2)", "(e1-e3)(e2-e3)")
+    return [(label, divisibility_bound(curve, i)) for i, label in enumerate(labels, 1)]
 
 
 def _split_strong_targets(curve: Curve) -> list[tuple[str, IntPoly]]:

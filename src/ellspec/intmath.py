@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 __all__ = [
     "is_probable_prime",
     "factor_int",
+    "FactorBudgetError",
     "squarefree_part_int",
     "exact_isqrt",
     "is_square_int",
@@ -24,6 +26,10 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 10**6
+# Pollard rho steps per cofactor.  Rho needs about sqrt(p) steps to find
+# a prime factor p, so this splits a product of two primes of up to about
+# 10^10 and fails on larger ones in well under a second.
+_RHO_BUDGET = 2**19
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -56,8 +62,14 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+class FactorBudgetError(ValueError):
+    """Pollard rho found no factor of a composite within _RHO_BUDGET steps."""
+
+
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n,
+    or raises FactorBudgetError rather than take more than _RHO_BUDGET steps."""
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -65,6 +77,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # this round's steps, at most
+            if steps > _RHO_BUDGET:
+                raise FactorBudgetError(f"no factor of the composite {n} within {_RHO_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -90,7 +105,8 @@ def factor_int(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer into (sign, {prime: exponent}).
 
     Trial division up to 10**6, then Pollard rho for what remains; the
-    contents met in practice only carry small primes.
+    contents met in practice only carry small primes.  A composite that
+    rho cannot split within _RHO_BUDGET steps raises FactorBudgetError.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -168,9 +184,12 @@ def is_square_rat(q: Fraction | int) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """Parse 'a' or 'a/b' with b > 0 into an exact rational; any other
+    form, such as '0.5' or '1e100', is rejected."""
+    if not _RATIONAL_RE.fullmatch(text.strip()):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text.strip())

@@ -141,14 +141,7 @@ class IntPoly:
     def __pow__(self, e: int) -> "IntPoly":
         if e < 0:
             raise ValueError("negative power in Z[t]")
-        result = IntPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, IntPoly.const(1))
 
     def derivative(self) -> "IntPoly":
         return IntPoly(i * self._c[i] for i in range(1, len(self._c)))
@@ -273,6 +266,18 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self})"
+
+
+def _power(base, e: int, one):
+    """base**e for e >= 0 by repeated squaring, in any ring with *."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def cubic_discriminant(A, B, C):

@@ -7,11 +7,13 @@ Grammar (also used by the printers, so parse-print-parse is a fixpoint):
     factor := ('-')* base ('^' uint)?
     base   := uint | 't' | 'x' | '(' expr ')'
 
-Division is only allowed by x-free subexpressions.  An exponent, a power
-or a product whose degree in t or x would exceed MAX_DEGREE is rejected
-before it is computed.  Curves accept three
-forms: "e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." and the
-equation form "y^2 = x^3 + ...".
+Values are built in Z[t] over one common denominator and each output
+coefficient is reduced in Q(t) once, at the end.  Division is only
+allowed by x-free subexpressions.  An exponent, a power, a product or a
+sum whose degree in t or x, counted before cancellation, would exceed
+MAX_DEGREE is rejected before it is computed.  Curves accept three forms:
+"e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." and the equation
+form "y^2 = x^3 + ...".
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from __future__ import annotations
 import re
 
 from .curves import Curve, O, Point
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _power
 from .ratfunc import RatFunc
 
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
 
 MAX_DEGREE = 1000
+_ONE = IntPoly.const(1)
 
 
 class ParseError(ValueError):
@@ -57,63 +60,49 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _XPoly:
-    """Polynomial in x with Q(t) coefficients, used only while parsing."""
+    """Polynomial in x with Q(t) coefficients nums[i] / den, held as
+    unreduced Z[t] data and used only while parsing."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and c[-1].is_zero:
-            c.pop()
-        self.coeffs = c
+    def __init__(self, nums, den=_ONE):
+        n = list(nums)
+        while n and n[-1].is_zero:
+            n.pop()
+        self.nums = n
+        self.den = den
 
-    @classmethod
-    def scalar(cls, value) -> "_XPoly":
-        return cls([RatFunc._coerce(value)])
-
-    @property
-    def is_scalar(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def scalar_value(self) -> RatFunc:
-        return self.coeffs[0] if self.coeffs else RatFunc(0)
+    def coeff(self, i: int) -> RatFunc:
+        """The coefficient of x^i, reduced in Q(t)."""
+        return RatFunc(self.nums[i] if i < len(self.nums) else IntPoly(), self.den)
 
     @property
     def degree(self) -> int:
-        """Largest degree in x or in t of a numerator or denominator."""
-        t_degree = max((max(c.num.degree, c.den.degree) for c in self.coeffs), default=0)
-        return max(len(self.coeffs) - 1, t_degree)
+        """Largest degree in x, or in t of a numerator or the denominator."""
+        return max(len(self.nums) - 1, self.den.degree, *(n.degree for n in self.nums))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = RatFunc(0)
-        get = lambda c, i: c[i] if i < len(c) else zero
-        return _XPoly(get(self.coeffs, i) + get(other.coeffs, i) for i in range(n))
+        a = [n * other.den for n in self.nums]
+        b = [n * self.den for n in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        return _XPoly([p + q for p, q in zip(a, b)] + a[len(b) :], self.den * other.den)
 
     def __neg__(self):
-        return _XPoly(-c for c in self.coeffs)
+        return _XPoly([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return _XPoly([])
-        out = [RatFunc(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [IntPoly()] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] = out[i + j] + a * b
-        return _XPoly(out)
+        return _XPoly(out, self.den * other.den)
 
     def __pow__(self, e: int):
-        result = _XPoly.scalar(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, _XPoly([_ONE]))
 
 
 def _check_degree(degree: int, pos: int) -> None:
@@ -123,7 +112,6 @@ def _check_degree(degree: int, pos: int) -> None:
 
 class _Parser:
     def __init__(self, text: str, allow_x: bool = False):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.allow_x = allow_x
@@ -142,18 +130,21 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "end"
+    def expect_end(self) -> None:
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", pos)
 
     # grammar ---------------------------------------------------------
 
     def parse_expr(self) -> _XPoly:
         value = self.parse_term()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, pos = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_term()
+                _check_degree(max(value.degree + rhs.den.degree, rhs.degree + value.den.degree), pos)
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -169,12 +160,11 @@ class _Parser:
                 if op == "*":
                     value = value * rhs
                 else:
-                    if not rhs.is_scalar:
+                    if len(rhs.nums) > 1:
                         raise ParseError("division by an x-dependent expression", pos)
-                    divisor = rhs.scalar_value()
-                    if divisor.is_zero:
+                    if not rhs.nums:
                         raise ParseError("division by zero", pos)
-                    value = value * _XPoly.scalar(1 / divisor)
+                    value = value * _XPoly([rhs.den], rhs.nums[0])
             else:
                 return value
 
@@ -203,12 +193,12 @@ class _Parser:
     def parse_base(self) -> _XPoly:
         kind, value, pos = self.advance()
         if kind == "int":
-            return _XPoly.scalar(value)
+            return _XPoly([IntPoly.const(value)])
         if kind == "name":
             if value == "t":
-                return _XPoly.scalar(RatFunc(IntPoly.monomial(1, 1)))
+                return _XPoly([IntPoly.monomial(1, 1)])
             if value == "x" and self.allow_x:
-                return _XPoly([RatFunc(0), RatFunc(1)])
+                return _XPoly([IntPoly(), _ONE])
             raise ParseError(f"unexpected symbol {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
@@ -217,22 +207,17 @@ class _Parser:
         raise ParseError("expected a number, variable or parenthesis", pos)
 
 
-def _parse_scalar_expr(text: str) -> RatFunc:
-    parser = _Parser(text)
-    value = parser.parse_expr()
-    if not parser.at_end():
-        raise ParseError("trailing input", parser.peek()[2])
-    return value.scalar_value()
-
-
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an element of Q(t)."""
-    return _parse_scalar_expr(text)
+    parser = _Parser(text)
+    value = parser.parse_expr()
+    parser.expect_end()
+    return value.coeff(0)
 
 
 def parse_poly(text: str) -> IntPoly:
     """Parse an element of Z[t]; non-integer coefficients are rejected."""
-    value = _parse_scalar_expr(text)
+    value = parse_ratfunc(text)
     try:
         return value.as_poly()
     except ValueError:
@@ -251,21 +236,18 @@ def parse_curve(text: str) -> Curve:
             parser.advance()
             roots.append(parser.parse_expr())
         parser.expect_op(")")
-        if not parser.at_end():
-            raise ParseError("trailing input", parser.peek()[2])
+        parser.expect_end()
         if len(roots) != 3:
             raise ParseError("split form needs exactly three roots", 0)
-        return Curve.from_roots(*(r.scalar_value() for r in roots))
+        return Curve.from_roots(*(r.coeff(0) for r in roots))
     if compact.startswith("y^2="):
         rhs_text = stripped.split("=", 1)[1]
         parser = _Parser(rhs_text, allow_x=True)
         rhs = parser.parse_expr()
-        if not parser.at_end():
-            raise ParseError("trailing input", parser.peek()[2])
-        coeffs = rhs.coeffs + [RatFunc(0)] * (4 - len(rhs.coeffs))
-        if len(rhs.coeffs) != 4 or coeffs[3] != RatFunc(1):
+        parser.expect_end()
+        if len(rhs.nums) != 4 or rhs.nums[3] != rhs.den:
             raise ParseError("right-hand side must be a monic cubic in x", 0)
-        return Curve(coeffs[2], coeffs[1], coeffs[0])
+        return Curve(rhs.coeff(2), rhs.coeff(1), rhs.coeff(0))
     if compact.startswith("A="):
         parts = re.split(r"[;,]", stripped)
         values = {}
@@ -296,6 +278,5 @@ def parse_point(text: str) -> Point:
     parser.expect_op(",")
     y = parser.parse_expr()
     parser.expect_op(")")
-    if not parser.at_end():
-        raise ParseError("trailing input", parser.peek()[2])
-    return Point(x.scalar_value(), y.scalar_value())
+    parser.expect_end()
+    return Point(x.coeff(0), y.coeff(0))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .intmath import is_square_rat
-from .intpoly import IntPoly, poly_gcd, rational_square_decompose
+from .intpoly import IntPoly, _power, poly_gcd, rational_square_decompose
 
 __all__ = ["RatFunc"]
 
@@ -141,14 +141,7 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return (1 / self) ** (-e)
-        result = RatFunc(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, RatFunc(1))
 
     def __eq__(self, other) -> bool:
         try:

@@ -79,6 +79,9 @@ def test_usage_errors_exit_2(capsys):
         ("factor", "((t^10)^10)^11"),  # each exponent is small, the degree is not
         ("factor", "t^1000*t"),
         ("check", "--condition", "A", "--curve", "e=(0, t^999999999, 1)", "--t0", "1"),
+        # a sum's common denominator has degree 1200 before any cancellation
+        ("check", "--condition", "A1B", "--curve", "A=1/(t^600+1) + 1/(t^600+2); B=1; C=0",
+         "--t0", "1"),
     ],
 )
 def test_huge_degree_exits_2_at_once(capsys, argv):
@@ -86,6 +89,40 @@ def test_huge_degree_exits_2_at_once(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "exceeds the limit" in err
     assert time.perf_counter() - start < 1.0
+
+
+# Fraction() reads this as 10^100000000, which takes far longer than a second.
+_HUGE_FLOAT = "1e100000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--condition", "A", "--curve", "e=(0, t, 7*t+1)", "--t0", _HUGE_FLOAT),
+        ("mestre", "--a", _HUGE_FLOAT, "--b", "12"),
+        ("specialize", "--curve", "e=(0, t, 2*t)", "--point", "O", "--t0", "0.5"),
+    ],
+)
+def test_only_integers_and_fractions_are_rationals(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "invalid rational" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_replay_of_a_float_t0_exits_2_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = _replay_edited(tmp_path, capsys, lambda doc: doc.update(t0=_HUGE_FLOAT), *_SPLIT)
+    assert code == 2 and "not a rational number" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_unsplittable_content_exits_2_at_once(capsys):
+    p, q = 10**30 + 57, 10**30 + 99  # two 31-digit primes
+    start = time.perf_counter()
+    code, _, err = run(capsys, "factor", f"{p}*{q}*(t+1)")
+    assert code == 2 and str(p * q) in err
+    assert time.perf_counter() - start < 2.0
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,14 @@ def test_split_criterion_known_separation():
     assert w.value == Fraction(4, 49)
     assert w.square_root == Fraction(2, 7)
     assert w.divisor == T * (6 * T + 1) * (7 * T + 1)
+
+
+def test_split_targets_match_their_labels():
+    curve = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
+    e = dict(zip(("e1", "e2", "e3"), curve.split_root_polys()))
+    for label, target in _TARGET_BUILDERS["A"](curve):
+        (a, b), (c, d) = re.findall(r"\((e\d)-(e\d)\)", label)
+        assert target == (e[a] - e[b]) * (e[c] - e[d]), label
 
 
 def test_strong_variant_implies_basic_one():

@@ -85,5 +85,6 @@ def test_parse_rational():
     assert parse_rational(" 1/21 ") == Fraction(1, 21)
     with pytest.raises(ValueError):
         parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational("x")
+    for text in ("x", "0.5", "1e3", "1/2/3", "1 / 2", "--1", "1_000"):
+        with pytest.raises(ValueError):
+            parse_rational(text)

@@ -1,6 +1,9 @@
+import time
+from fractions import Fraction
+
 import pytest
 
-from ellspec.curves import O
+from ellspec.curves import Curve, O
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import (
     MAX_DEGREE,
@@ -60,6 +63,51 @@ def test_degree_limit():
         assert exc.value.position == position
     with pytest.raises(ParseError):
         parse_curve("y^2 = x^3 + x^1001")
+
+
+def test_sum_degree_limit():
+    # the common denominator of a sum has the degree of the product of its
+    # operands' denominators, counted before any cancellation
+    assert parse_ratfunc("1/(t^500+1) + 1/(t^500+2)").den.degree == 1000
+    with pytest.raises(ParseError) as exc:
+        parse_ratfunc("1/(t^600+1) + 1/(t^600+2)")
+    assert exc.value.position == 12
+    with pytest.raises(ParseError):
+        parse_ratfunc("(t^600+1)/(t^600+1) - 1/(t^600+2)")
+
+
+def test_long_sum_parses_quickly():
+    n = 200
+    start = time.perf_counter()
+    f = parse_ratfunc(" + ".join(f"1/(t+{k})" for k in range(1, n + 1)))
+    assert time.perf_counter() - start < 2.0
+    assert f.den.degree == n
+    assert f(Fraction(1)) == sum(Fraction(1, k + 1) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A=(t^2-1)/(t-1) - 3/2*t; B=(t+1)^3/(2*t) + t/(t+1); C=-1/(t^2+1) + 5",
+        "y^2 = x^3 + (t/2 + 1)*x^2 - (x*(t-1) - 1/(t+1))*(x+1) + t^2/3",
+    ],
+    ids=["coefficient form", "equation form"],
+)
+def test_each_coefficient_is_reduced_once(monkeypatch, text):
+    calls = 0
+    init = RatFunc.__init__
+
+    def counting_init(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    curve = parse_curve(text)
+    parsing_calls = calls
+    calls = 0
+    Curve(curve.A, curve.B, curve.C)  # what building the curve itself costs
+    assert parsing_calls - calls <= 3
 
 
 def test_parse_curve_split_form():
