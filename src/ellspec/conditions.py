@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .curves import Curve, _q_cubic_roots
-from .descent import divisibility_bound
 from .factorize import factor
-from .intmath import is_square_rat
+from .intmath import is_square_rat, parse_rational
 from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
+from .parsing import parse_poly
 
 __all__ = [
     "CONDITION_NAMES",
@@ -114,15 +114,15 @@ def enumerate_divisors(target: IntPoly) -> list[IntPoly]:
     """
     if target.is_zero:
         raise ValueError("zero target")
-    return [h for h, _, _ in _divisor_products(factor(target))[1]]
+    return [h for h, _, _ in _divisor_products([factor(target)])[1]]
 
 
-def _divisor_products(fac) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tuple[int, ...]]]]:
-    """The distinct primitive irreducible factors g_i of a factorization,
-    and every divisor as (h, c, idx) with h = c * prod(g_i for i in idx),
-    in the order of enumerate_divisors."""
-    primes = [q for q, _ in fac.content_primes]
-    polys = [g for g, _ in fac.poly_factors]
+def _divisor_products(facs) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tuple[int, ...]]]]:
+    """The distinct primitive irreducible factors g_i of the product of the
+    factorized pieces, and every divisor as (h, c, idx) with
+    h = c * prod(g_i for i in idx), in the order of enumerate_divisors."""
+    primes = list(dict.fromkeys(q for fac in facs for q, _ in fac.content_primes))
+    polys = list(dict.fromkeys(g for fac in facs for g, _ in fac.poly_factors))
     out = []
     for r in range(1, len(polys) + 1):
         for idx in itertools.combinations(range(len(polys)), r):
@@ -140,21 +140,22 @@ def _divisor_products(fac) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tupl
 
 
 # ---------------------------------------------------------------------------
-# Target preparation per condition.
+# Target preparation per condition: each target as a tuple of its pieces.
 # ---------------------------------------------------------------------------
 
 
-def _split_targets(curve: Curve) -> list[tuple[str, IntPoly]]:
+def _split_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
+    [(_, (d12, d13, d23))] = _split_strong_targets(curve)
     labels = ("(e2-e1)(e3-e1)", "(e1-e2)(e3-e2)", "(e1-e3)(e2-e3)")
-    return [(label, divisibility_bound(curve, i)) for i, label in enumerate(labels, 1)]
+    return list(zip(labels, [(d12, d13), (d12, d23), (d13, d23)]))
 
 
-def _split_strong_targets(curve: Curve) -> list[tuple[str, IntPoly]]:
+def _split_strong_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
     e1, e2, e3 = curve.split_root_polys()
-    return [("(e1-e2)(e2-e3)(e3-e1)", (e1 - e2) * (e2 - e3) * (e3 - e1))]
+    return [("(e1-e2)(e2-e3)(e3-e1)", (e2 - e1, e3 - e1, e3 - e2))]
 
 
-def _one_torsion_targets(curve: Curve) -> list[tuple[str, IntPoly]]:
+def _one_torsion_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
     A, B, C = curve.coeff_polys()
     if not C.is_zero:
         raise ValueError("model must be y^2 = x^3 + A x^2 + B x (C = 0)")
@@ -165,11 +166,11 @@ def _one_torsion_targets(curve: Curve) -> list[tuple[str, IntPoly]]:
         raise ValueError(
             "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A"
         )
-    return [("B", B), ("A^2-4B", quad_disc)]
+    return [("B", (B,)), ("A^2-4B", (quad_disc,))]
 
 
-def _discriminant_targets(curve: Curve) -> list[tuple[str, IntPoly]]:
-    return [("D", curve.discriminant_poly())]
+def _discriminant_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
+    return [("D", (curve.discriminant_poly(),))]
 
 
 _TARGET_BUILDERS = {
@@ -184,15 +185,14 @@ def _prepare(curve: Curve, condition: str):
     """Everything the evaluation at one t0 needs that does not depend on
     t0: (discriminant, (A, B, C) for A1B or None, targets), each target
     as (label, factors, divisors), its distinct irreducible factors and
-    its divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx)."""
+    its divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx).
+    Each distinct piece is factored once; constant targets have no divisors."""
     if condition not in CONDITION_NAMES:
         raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
-    targets = []
-    for label, target in _TARGET_BUILDERS[condition](curve):
-        if target.is_zero:
-            raise ValueError(f"degenerate target {label} = 0")
-        factors, divisors = ([], []) if target.is_constant else _divisor_products(factor(target))
-        targets.append((label, factors, divisors))
+    built = [tg for tg in _TARGET_BUILDERS[condition](curve)
+             if not all(p.is_constant for p in tg[1])]
+    facs = {p: factor(p) for p in {piece for _, pieces in built for piece in pieces}}
+    targets = [(label, *_divisor_products([facs[p] for p in pieces])) for label, pieces in built]
     cubic = curve.coeff_polys() if condition == "A1B" else None
     return curve.discriminant_poly(), cubic, targets
 
@@ -349,8 +349,6 @@ def certificate_to_json(report: ConditionReport) -> str:
 
 
 def _curve_from_json(cdoc) -> Curve:
-    from .parsing import parse_poly
-
     if not isinstance(cdoc, dict):
         raise ValueError("certificate curve must be an object")
     split = "split_roots" in cdoc
@@ -370,10 +368,11 @@ def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
     field.  A document that lacks a field, or whose curve or t0 cannot be
     read, raises ValueError.
     """
-    from .intmath import parse_rational
-
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except RecursionError:
+            raise ValueError("certificate is nested too deeply") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != _SCHEMA:
         raise ValueError(f"unsupported certificate schema {schema!r}")

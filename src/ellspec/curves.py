@@ -103,12 +103,18 @@ class Curve:
 
     @classmethod
     def from_roots(cls, e1, e2, e3) -> "Curve":
-        e1, e2, e3 = (_coerce_field(e) for e in (e1, e2, e3))
-        A = -(e1 + e2 + e3)
-        B = e1 * e2 + e1 * e3 + e2 * e3
-        C = -(e1 * e2 * e3)
-        curve = cls(A, B, C)
-        curve.split_roots = (e1, e2, e3)
+        """y^2 = (x - e1)(x - e2)(x - e3) over Q(t).  With e_i = n_i / D over
+        D = d1 d2 d3, A, B and C are -s1 / D, s2 / D^2 and -s3 / D^3 for the
+        elementary symmetric polynomials s_k of n1, n2, n3, each reduced once."""
+        roots = tuple(RatFunc._coerce(e) for e in (e1, e2, e3))
+        D = roots[0].den * roots[1].den * roots[2].den
+        n1, n2, n3 = (e.num * D.exact_div(e.den) for e in roots)
+        curve = cls(
+            RatFunc(-(n1 + n2 + n3), D),
+            RatFunc(n1 * n2 + n1 * n3 + n2 * n3, D * D),
+            RatFunc(-(n1 * n2 * n3), D * D * D),
+        )
+        curve.split_roots = roots
         return curve
 
     # -- coefficient access --------------------------------------------

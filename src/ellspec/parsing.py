@@ -11,7 +11,8 @@ Values are built in Z[t] over one common denominator and each output
 coefficient is reduced in Q(t) once, at the end.  Division is only
 allowed by x-free subexpressions.  An exponent, a power, a product or a
 sum whose degree in t or x, counted before cancellation, would exceed
-MAX_DEGREE is rejected before it is computed.  Curves accept three forms:
+MAX_DEGREE is rejected before it is computed, and so are parentheses
+nested deeper than MAX_NESTING.  Curves accept three forms:
 "e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." and the equation
 form "y^2 = x^3 + ...".
 """
@@ -27,6 +28,7 @@ from .ratfunc import RatFunc
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
 
 MAX_DEGREE = 1000
+MAX_NESTING = 100
 _ONE = IntPoly.const(1)
 
 
@@ -115,6 +117,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.allow_x = allow_x
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -169,13 +172,9 @@ class _Parser:
                 return value
 
     def parse_factor(self) -> _XPoly:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return -self.parse_factor()
-        if kind == "op" and value == "+":
-            self.advance()
-            return self.parse_factor()
+        negate = False
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            negate ^= self.advance()[1] == "-"
         base = self.parse_base()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
@@ -187,8 +186,8 @@ class _Parser:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", pos)
             _check_degree(exp * base.degree, pos)
             self.advance()
-            return base**exp
-        return base
+            base = base**exp
+        return -base if negate else base
 
     def parse_base(self) -> _XPoly:
         kind, value, pos = self.advance()
@@ -201,8 +200,12 @@ class _Parser:
                 return _XPoly([IntPoly(), _ONE])
             raise ParseError(f"unexpected symbol {value!r}", pos)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, variable or parenthesis", pos)
 

@@ -125,6 +125,26 @@ def test_unsplittable_content_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_deep_nesting_exits_2_at_once(tmp_path, capsys):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 200_000 + "]" * 200_000)
+    for argv, message in [
+        (("factor", "(" * 300 + "t" + ")" * 300), "parentheses nested deeper than 100"),
+        (("check", "--replay", str(cert)), "certificate is nested too deeply"),
+    ]:
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+
+def test_a_long_run_of_signs_parses(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "factor", "0" + "-" * 3000 + "t")
+    assert (code, out, err) == (0, "(t)\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from ellspec import conditions
 from ellspec.conditions import (
     _TARGET_BUILDERS,
     BudgetExhausted,
@@ -19,6 +21,7 @@ from ellspec.conditions import (
     t0_candidates,
 )
 from ellspec.curves import Curve
+from ellspec.factorize import factor
 from ellspec.intmath import is_square_rat
 from ellspec.intpoly import IntPoly, squarefree_part
 from ellspec.parsing import parse_curve
@@ -86,12 +89,27 @@ def test_split_criterion_known_separation():
     assert w.divisor == T * (6 * T + 1) * (7 * T + 1)
 
 
+def _up_to_sign(polys) -> list:
+    return sorted((p if p.lc > 0 else -p).coeffs for p in polys)
+
+
 def test_split_targets_match_their_labels():
     curve = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
     e = dict(zip(("e1", "e2", "e3"), curve.split_root_polys()))
-    for label, target in _TARGET_BUILDERS["A"](curve):
-        (a, b), (c, d) = re.findall(r"\((e\d)-(e\d)\)", label)
-        assert target == (e[a] - e[b]) * (e[c] - e[d]), label
+    for condition in ("A", "Aprime"):
+        for label, pieces in _TARGET_BUILDERS[condition](curve):
+            named = [e[a] - e[b] for a, b in re.findall(r"\((e\d)-(e\d)\)", label)]
+            assert _up_to_sign(pieces) == _up_to_sign(named), label
+
+
+@pytest.mark.parametrize("condition", ["A", "Aprime"])
+def test_split_targets_factor_each_root_difference_once(monkeypatch, condition):
+    curve = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
+    e1, e2, e3 = curve.split_root_polys()
+    factored = []
+    monkeypatch.setattr(conditions, "factor", lambda p: factored.append(p) or factor(p))
+    check_condition(curve, condition, Fraction(1, 21))
+    assert _up_to_sign(factored) == _up_to_sign([e2 - e1, e3 - e1, e3 - e2])
 
 
 def test_strong_variant_implies_basic_one():
@@ -274,7 +292,7 @@ def test_divisor_values_are_divisors_at_t0(kind):
                 if rep.discriminant_value:  # every divisor, in enumeration order
                     targets = _TARGET_BUILDERS[condition](curve)
                     assert [c.divisor for c in rep.checks] == [
-                        h for _, target in targets for h in enumerate_divisors(target)
+                        h for _, pieces in targets for h in enumerate_divisors(math.prod(pieces))
                     ]
                 reports.append(rep)
             reports.append(find_t0(curve, condition, SearchBudget(8, 4)))

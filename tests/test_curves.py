@@ -141,6 +141,29 @@ def test_from_roots_expansion():
         assert curve.rhs(P.x) == (P.x - e1) * (P.x - e2) * (P.x - e3)
 
 
+@pytest.mark.parametrize(
+    "roots",
+    [(RatFunc(0), t, 7 * t + 1), (RatFunc(0), 1 / t, t), (t / 2, (t + 1) / (t - 1), -3 / (t * t + 1))],
+    ids=["integral", "one-denominator", "three-denominators"],
+)
+def test_from_roots_reduces_each_coefficient_once(monkeypatch, roots):
+    e1, e2, e3 = roots
+    expected = (-(e1 + e2 + e3), e1 * e2 + e1 * e3 + e2 * e3, -(e1 * e2 * e3))
+    calls = 0
+    init = RatFunc.__init__
+
+    def counting_init(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    curve = Curve.from_roots(*roots)
+    assert calls <= 4  # A, B, C and the discriminant
+    assert (curve.A, curve.B, curve.C) == expected
+    assert curve.split_roots == roots
+
+
 def _field_discriminant(curve):
     """The cubic's discriminant spelled out in the coefficient field."""
     a, b, c = curve.A, curve.B, curve.C

@@ -1,9 +1,12 @@
-"""Every imported name in the package and the test suite is used.
+"""Every imported name in the package and the test suite is used, and
+every module-level private name of the package is read somewhere in the
+package, the tests or the bench outside its own definition.
 
-No linter is installed alongside the package, so this scan is the guard
-against dead imports.  A name counts as used when it is loaded anywhere
-in the module, listed in ``__all__``, or named inside a string
-annotation; ``from __future__`` imports are exempt.
+No linter is installed alongside the package, so these scans are the
+guard against dead imports and dead private code.  An imported name
+counts as used when it is loaded anywhere in the module, listed in
+``__all__``, or named inside a string annotation; ``from __future__``
+imports are exempt.
 """
 
 import ast
@@ -72,3 +75,71 @@ def test_the_scan_flags_an_unused_import_and_spares_the_exemptions():
         "    return json.dumps(a)\n"
     )
     assert _unused(ast.parse(source)) == ["os (line 2)", "Iterator (line 4)"]
+
+
+PROGRAM = sorted(ROOT.glob("src/ellspec/*.py"))
+READERS = PROGRAM + sorted(ROOT.glob("tests/**/*.py")) + sorted(ROOT.glob("bench/**/*.py"))
+
+
+def _defined_private_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private function, class or constant -> its statement."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update((n, node) for n in bound if n.startswith("_") and not n.startswith("__"))
+    return names
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    """Names read in node, as bare names or as attributes (module._name)."""
+    loaded = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            loaded.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            loaded.add(sub.attr)
+    return loaded
+
+
+def _dead_private_names(program: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """module._name for each private name of the program that no top-level
+    statement of a reader loads, apart from the statement defining it."""
+    loads = [(stmt, _loaded_names(stmt)) for reader in readers for stmt in reader.body]
+    return [
+        f"{module}.{name}"
+        for module, tree in program.items()
+        for name, definition in _defined_private_names(tree).items()
+        if not any(name in loaded for stmt, loaded in loads if stmt is not definition)
+    ]
+
+
+def test_every_private_name_is_used():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    program = {path.stem: trees[path] for path in PROGRAM}
+    assert _dead_private_names(program, list(trees.values())) == []
+
+
+def test_the_private_scan_flags_dead_and_self_used_names():
+    source = ast.parse(
+        "_LIMIT = 3\n"
+        "_UNUSED = 4\n"
+        "def _helper(n):\n"
+        "    return _helper(n - 1) if n else _LIMIT\n"
+        "def _reached():\n"
+        "    pass\n"
+        "class _Dead:\n"
+        "    pass\n"
+        "__all__ = []\n"
+    )
+    reader = ast.parse("import mod\nmod._reached()\n")
+    assert _dead_private_names({"mod": source}, [source, reader]) == [
+        "mod._UNUSED",
+        "mod._helper",
+        "mod._Dead",
+    ]

@@ -7,6 +7,7 @@ from ellspec.curves import Curve, O
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import (
     MAX_DEGREE,
+    MAX_NESTING,
     ParseError,
     parse_curve,
     parse_point,
@@ -74,6 +75,18 @@ def test_sum_degree_limit():
     assert exc.value.position == 12
     with pytest.raises(ParseError):
         parse_ratfunc("(t^600+1)/(t^600+1) - 1/(t^600+2)")
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_poly(deepest) == T
+    assert parse_poly("-" + deepest + "^2") == -(T**2)
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(" + deepest + ")")
+    assert exc.value.position == MAX_NESTING
+    # a run of signs is read in a loop, not nested
+    assert parse_poly("-" * 4001 + "t") == -T
+    assert parse_poly("+-" * 2000 + "+t^2") == T**2
 
 
 def test_long_sum_parses_quickly():
