@@ -28,7 +28,7 @@ from .curves import Curve, _q_cubic_roots
 from .factorize import factor
 from .intmath import is_square_rat, parse_rational
 from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
-from .parsing import parse_poly
+from .parsing import _parse_integral
 
 __all__ = [
     "CONDITION_NAMES",
@@ -355,8 +355,8 @@ def _curve_from_json(cdoc) -> Curve:
     texts = cdoc["split_roots"] if split else [cdoc.get(k) for k in "ABC"]
     if not (isinstance(texts, list) and len(texts) == 3 and all(isinstance(x, str) for x in texts)):
         raise ValueError("certificate curve needs three polynomials A, B, C or split_roots")
-    polys = [parse_poly(x) for x in texts]
-    return Curve.from_roots(*polys) if split else Curve(*polys)
+    values = [_parse_integral(x) for x in texts]
+    return Curve.from_roots(*values) if split else Curve(*values)
 
 
 def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:

@@ -1,8 +1,11 @@
 """Irreducible factorization in Z[t].
 
 Classical Zassenhaus: Yun squarefree decomposition, distinct-degree and
-Cantor-Zassenhaus equal-degree factorization modulo a small prime, Hensel
+Cantor-Zassenhaus equal-degree factorization modulo a small prime p, Hensel
 lifting up to the Mignotte coefficient bound, then subset recombination.
+Lifting and recombination work on the same residue lists as the GF(p)
+stage, modulo p^k; a candidate factor becomes an IntPoly only once it is
+tested against the bound.
 Degrees in this project stay at or below 14, so the exponential
 recombination step is harmless.
 """
@@ -21,7 +24,8 @@ __all__ = ["Factorization", "factor", "is_irreducible", "rational_roots"]
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[t] helpers: dense coefficient lists, lowest degree first.
+# Residue lists: dense coefficient lists mod m, lowest degree first.  m is
+# the prime p for GF(p)[t] and a power of p for Hensel lifting.
 # ---------------------------------------------------------------------------
 
 
@@ -31,46 +35,47 @@ def _gf_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _gf_from_poly(f: IntPoly, p: int) -> list[int]:
-    return _gf_trim([c % p for c in f.coeffs])
+def _gf_from_poly(f: IntPoly, m: int) -> list[int]:
+    return _gf_trim([c % m for c in f.coeffs])
 
 
-def _gf_to_poly_symmetric(f: list[int], p: int) -> IntPoly:
-    half = p // 2
-    return IntPoly(c - p if c > half else c for c in f)
+def _gf_to_poly_symmetric(f: list[int], m: int) -> IntPoly:
+    half = m // 2
+    return IntPoly(c - m if c > half else c for c in f)
 
 
-def _gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
+def _gf_mul(f: list[int], g: list[int], m: int) -> list[int]:
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _gf_trim(out)
+                out[i + j] += a * b
+    return _gf_trim([c % m for c in out])
 
 
-def _gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    fi = f + [0] * (n - len(f))
-    gi = g + [0] * (n - len(g))
-    return _gf_trim([(a - b) % p for a, b in zip(fi, gi)])
+def _gf_add(f: list[int], g: list[int], m: int) -> list[int]:
+    return _gf_trim([(a + b) % m for a, b in itertools.zip_longest(f, g, fillvalue=0)])
 
 
-def _gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+def _gf_sub(f: list[int], g: list[int], m: int) -> list[int]:
+    return _gf_trim([(a - b) % m for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+
+
+def _gf_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
     if not g:
         raise ZeroDivisionError
     r = list(f)
     dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
+    inv = pow(g[-1], -1, m)
     q = [0] * max(len(f) - dg, 0)
     while len(_gf_trim(r)) - 1 >= dg:
         dr = len(r) - 1
-        c = r[-1] * inv % p
+        c = r[-1] * inv % m
         q[dr - dg] = c
         for i in range(len(g)):
-            r[dr - dg + i] = (r[dr - dg + i] - c * g[i]) % p
+            r[dr - dg + i] = (r[dr - dg + i] - c * g[i]) % m
         _gf_trim(r)
     return _gf_trim(q), r
 
@@ -79,11 +84,11 @@ def _gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
     return _gf_divmod(f, g, p)[1]
 
 
-def _gf_monic(f: list[int], p: int) -> list[int]:
+def _gf_monic(f: list[int], m: int) -> list[int]:
     if not f:
         return []
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+    inv = pow(f[-1], -1, m)
+    return [c * inv % m for c in f]
 
 
 def _gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
@@ -187,67 +192,41 @@ def _gf_factor_squarefree(f: list[int], p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _trunc(f: IntPoly, m: int) -> IntPoly:
-    half = m // 2
-    return IntPoly((c % m) - m if (c % m) > half else (c % m) for c in f.coeffs)
-
-
-def _divmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    qr = f.divmod_exact(g)
-    if qr is None:  # g monic, so division never leaves Z[t]
-        raise AssertionError(f"division by non-monic {g} left Z[t]")
-    return qr
-
-
-def _hensel_step(m, f, g, h, s, t):
-    """Lift f = g*h, s*g + t*h = 1 from mod m to mod m**2 (h monic)."""
-    M = m * m
-    e = _trunc(f - g * h, M)
-    q, r = _divmod_monic(s * e, h)
-    q, r = _trunc(q, M), _trunc(r, M)
-    u = t * e + q * g
-    G = _trunc(g + u, M)
-    H = _trunc(h + r, M)
-    u = s * G + t * H
-    b = _trunc(u - 1, M)
-    c, d = _divmod_monic(s * b, H)
-    c, d = _trunc(c, M), _trunc(d, M)
-    u = t * b + c * G
-    S = _trunc(s - d, M)
-    T = _trunc(t - u, M)
+def _hensel_step(M, f, g, h, s, t):
+    """Lift f = g*h, s*g + t*h = 1 from mod m to mod M, where M divides m**2
+    (h monic; residue lists)."""
+    e = _gf_sub(f, _gf_mul(g, h, M), M)
+    q, r = _gf_divmod(_gf_mul(s, e, M), h, M)
+    G = _gf_add(g, _gf_add(_gf_mul(t, e, M), _gf_mul(q, g, M), M), M)
+    H = _gf_add(h, r, M)
+    b = _gf_sub(_gf_add(_gf_mul(s, G, M), _gf_mul(t, H, M), M), [1], M)
+    c, d = _gf_divmod(_gf_mul(s, b, M), H, M)
+    S = _gf_sub(s, d, M)
+    T = _gf_sub(t, _gf_add(_gf_mul(t, b, M), _gf_mul(c, G, M), M), M)
     return G, H, S, T
 
 
-def _hensel_lift(p: int, f: IntPoly, mod_factors: list[IntPoly], l: int) -> list[IntPoly]:
-    """Lift f = lc(f) * prod(mod_factors) (mod p) to the same shape mod p**l."""
-    r = len(mod_factors)
-    lc = f.lc
-    pl = p**l
-    if r == 1:
-        inv = pow(lc % pl, -1, pl)
-        return [_trunc(inv * f, pl)]
-    k = r // 2
-    steps = max(1, math.ceil(math.log2(l)))
-
-    g = [lc % p]
+def _hensel_lift(p: int, pl: int, f: list[int], mod_factors: list[list[int]]) -> list[list[int]]:
+    """Monic factors mod pl = p**l of the residue list f = lc(f) * prod(mod_factors)
+    (mod p), each congruent to its modular factor mod p."""
+    if len(mod_factors) == 1:
+        return [_gf_monic(f, pl)]
+    k = len(mod_factors) // 2
+    g = [f[-1] % p]
     for fi in mod_factors[:k]:
-        g = _gf_mul(g, _gf_from_poly(fi, p), p)
+        g = _gf_mul(g, fi, p)
     h = [1]
     for fi in mod_factors[k:]:
-        h = _gf_mul(h, _gf_from_poly(fi, p), p)
+        h = _gf_mul(h, fi, p)
     s, t, one = _gf_gcdex(g, h, p)
     if one != [1]:
         raise AssertionError(f"Hensel factors are not coprime mod {p}")
 
-    G = _gf_to_poly_symmetric(g, p)
-    H = _gf_to_poly_symmetric(h, p)
-    S = _gf_to_poly_symmetric(s, p)
-    T = _gf_to_poly_symmetric(t, p)
     m = p
-    for _ in range(steps):
-        G, H, S, T = _hensel_step(m, f, G, H, S, T)
-        m = m * m
-    return _hensel_lift(p, G, mod_factors[:k], l) + _hensel_lift(p, H, mod_factors[k:], l)
+    while m < pl:
+        m = min(m * m, pl)
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+    return _hensel_lift(p, pl, g, mod_factors[:k]) + _hensel_lift(p, pl, h, mod_factors[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +278,7 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
         l += 1
     pl = p**l
 
-    lifted = _hensel_lift(p, f, [_gf_to_poly_symmetric(m, p) for m in mod_factors], l)
+    lifted = _hensel_lift(p, pl, _gf_from_poly(f, pl), mod_factors)
 
     indices = list(range(len(lifted)))
     remaining = set(indices)
@@ -309,12 +288,13 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
     while 2 * s <= len(remaining):
         found = False
         for S in itertools.combinations(indices, s):
-            G = IntPoly.const(b)
-            for i in S:
-                G = _trunc(G * lifted[i], pl)
-            H = IntPoly.const(b)
-            for i in remaining - set(S):
-                H = _trunc(H * lifted[i], pl)
+            G, H = [b % pl], [b % pl]
+            for i in remaining:
+                if i in S:
+                    G = _gf_mul(G, lifted[i], pl)
+                else:
+                    H = _gf_mul(H, lifted[i], pl)
+            G, H = _gf_to_poly_symmetric(G, pl), _gf_to_poly_symmetric(H, pl)
             g_norm = sum(abs(c) for c in G.coeffs)
             h_norm = sum(abs(c) for c in H.coeffs)
             if g_norm * h_norm <= B:

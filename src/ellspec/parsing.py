@@ -220,11 +220,15 @@ def parse_ratfunc(text: str) -> RatFunc:
 
 def parse_poly(text: str) -> IntPoly:
     """Parse an element of Z[t]; non-integer coefficients are rejected."""
+    return _parse_integral(text).num
+
+
+def _parse_integral(text: str) -> RatFunc:
+    """An element of Z[t], parsed and kept as an element of Q(t)."""
     value = parse_ratfunc(text)
-    try:
-        return value.as_poly()
-    except ValueError:
-        raise ParseError(f"{text.strip()!r} is not a polynomial over Z", 0) from None
+    if value.den != _ONE:
+        raise ParseError(f"{text.strip()!r} is not a polynomial over Z", 0)
+    return value
 
 
 def parse_curve(text: str) -> Curve:

@@ -135,9 +135,6 @@ class RatFunc:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def inv(self) -> "RatFunc":
-        return 1 / self
-
     def __pow__(self, e: int):
         if e < 0:
             return (1 / self) ** (-e)

@@ -244,8 +244,9 @@ def test_replay_rejects_a_diagnostic_claiming_to_certify(tmp_path, capsys):
         lambda doc: doc["curve"].update(split_roots=["t", "0"]),
         lambda doc: doc.update(t0=3),
         lambda doc: doc.update(curve="e=(0, t, 7*t+1)"),
+        lambda doc: doc["curve"].update(split_roots=["0", "1/t", "7*t+1"]),
     ],
-    ids=["no checks", "null split_roots", "two split_roots", "numeric t0", "curve string"],
+    ids=["no checks", "null split_roots", "two split_roots", "numeric t0", "curve string", "root 1/t"],
 )
 def test_replay_of_a_malformed_certificate_exits_2(tmp_path, capsys, edit):
     code, out, err = _replay_edited(tmp_path, capsys, edit, *_SPLIT)
@@ -297,13 +298,12 @@ def test_verify_paper(capsys):
 _BROKEN_INVARIANT = """
 import sys
 from ellspec import cli, factorize
-from ellspec.intpoly import IntPoly
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-# a non-monic divisor breaks the invariant _divmod_monic relies on
-cli._COMMANDS["factor"] = lambda args: factorize._divmod_monic(IntPoly([1, 0, 1]), IntPoly([1, 2]))
-sys.exit(cli.main(["factor", "t"]))
+# modular factors whose gcd is not a unit break the invariant Hensel lifting relies on
+factorize._gf_gcdex = lambda f, g, p: ([], [], [1, 1])
+sys.exit(cli.main(["factor", "t^2-1"]))
 """
 
 
@@ -316,3 +316,4 @@ def test_invariant_violation_exits_3_under_python_O():
     )
     assert proc.returncode == 3, proc.stderr
     assert "internal invariant violation" in proc.stderr
+    assert "not coprime" in proc.stderr

@@ -24,7 +24,7 @@ from ellspec.curves import Curve
 from ellspec.factorize import factor
 from ellspec.intmath import is_square_rat
 from ellspec.intpoly import IntPoly, squarefree_part
-from ellspec.parsing import parse_curve
+from ellspec.parsing import ParseError, parse_curve
 from ellspec.ratfunc import RatFunc
 from samples import (
     random_c0_curve_with_point,
@@ -231,6 +231,38 @@ def test_certificate_round_trip_split_curve():
     rep = check_condition(curve, "A", Fraction(1, 21))
     matches, fresh = replay_certificate(certificate_to_json(rep))
     assert matches and fresh.passed
+
+
+@pytest.mark.parametrize(
+    "cdoc, text",
+    [
+        ({"split_roots": ["0", "t", "7*t+1"]}, "e=(0, t, 7*t+1)"),
+        ({"A": "t", "B": "t^2+1", "C": "3"}, "A=t; B=t^2+1; C=3"),
+    ],
+    ids=["split", "coefficients"],
+)
+def test_replayed_curve_is_built_like_a_parsed_one(monkeypatch, cdoc, text):
+    calls = 0
+    init = RatFunc.__init__
+
+    def counting_init(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    parsed = parse_curve(text)
+    parsing_calls = calls
+    calls = 0
+    replayed = conditions._curve_from_json(cdoc)
+    assert calls <= parsing_calls <= 7
+    assert (replayed.A, replayed.B, replayed.C) == (parsed.A, parsed.B, parsed.C)
+    assert replayed.split_roots == parsed.split_roots
+
+
+def test_replayed_split_roots_must_be_polynomials():
+    with pytest.raises(ParseError):
+        conditions._curve_from_json({"split_roots": ["0", "1/t", "7*t+1"]})
 
 
 def test_tampered_certificate_detected():

@@ -5,6 +5,8 @@ Inputs are built from planted factors: linear ones, quadratics and cubics
 two inputs share.  Besides each factorization, the union of two inputs'
 distinct content primes and irreducible factors must be those of their
 product: the criteria build a target's divisors from its pieces that way.
+A few explicit inputs make sure that Hensel lifting splits more than once
+and that recombination has modular factors to merge.
 """
 
 import math
@@ -12,8 +14,10 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ellspec import factorize
 from ellspec.factorize import factor
 from ellspec.intpoly import IntPoly
+from ellspec.mestre import twist_polynomial
 
 sympy = pytest.importorskip("sympy")
 
@@ -79,3 +83,30 @@ def test_factor_matches_sympy(shared, own_f, own_g, content_f, content_g):
     product = sympy_factor(f * g)
     assert {q for fac in facs for q, _ in fac.content_primes} == set(product[1])
     assert {h for fac in facs for h, _ in fac.poly_factors} == set(product[2])
+
+
+_T = IntPoly([0, 1])
+
+
+@pytest.mark.parametrize(
+    "p, lifted_factors",
+    [
+        ((2 * _T - 1) * (3 * _T + 1) * (5 * _T - 2) * (7 * _T + 3), 4),
+        ((3 * _T + 2) * (_T**4 - 10 * _T**2 + 1), 3),
+        (twist_polynomial(2, 12), 5),
+    ],
+    ids=["four non-monic linear factors", "quartic that splits mod every prime", "twist (2,12)"],
+)
+def test_lifting_and_recombination_match_sympy(monkeypatch, p, lifted_factors):
+    """The first lift starts from at least lifted_factors modular factors:
+    a Hensel tree of depth >= 2, and in the last two inputs more modular
+    factors than factors over Z, so that recombination has to merge some."""
+    lift, calls = factorize._hensel_lift, []
+
+    def recording(prime, pl, f, mod_factors):
+        calls.append(len(mod_factors))
+        return lift(prime, pl, f, mod_factors)
+
+    monkeypatch.setattr(factorize, "_hensel_lift", recording)
+    _checked_factor(p)
+    assert calls[0] >= lifted_factors

@@ -1,6 +1,7 @@
-"""Every imported name in the package and the test suite is used, and
-every module-level private name of the package is read somewhere in the
-package, the tests or the bench outside its own definition.
+"""Every imported name in the package and the test suite is used, every
+module-level private name of the package is read somewhere in the
+package, the tests or the bench outside its own definition, and so is
+every method of a class in the package, as an attribute.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead private code.  An imported name
@@ -10,6 +11,7 @@ imports are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -143,3 +145,53 @@ def test_the_private_scan_flags_dead_and_self_used_names():
         "mod._helper",
         "mod._Dead",
     ]
+
+
+def _attribute_loads(node: ast.AST) -> list[str]:
+    return [
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    ]
+
+
+def _dead_methods(program: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """module.Class.method for each non-dunder method of a program class
+    that no reader loads as an attribute outside the method's own body."""
+    loads = Counter(name for reader in readers for name in _attribute_loads(reader))
+    return [
+        f"{module}.{cls.name}.{method.name}"
+        for module, tree in program.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and loads[method.name] == _attribute_loads(method).count(method.name)
+    ]
+
+
+def test_every_method_is_used():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    program = {path.stem: trees[path] for path in PROGRAM}
+    assert _dead_methods(program, list(trees.values())) == []
+
+
+def test_the_method_scan_flags_unread_and_self_read_methods():
+    source = ast.parse(
+        "class Poly:\n"
+        "    def __init__(self, c):\n"
+        "        self.c = c\n"
+        "    @property\n"
+        "    def degree(self):\n"
+        "        return len(self.c) - 1\n"
+        "    def inv(self):\n"
+        "        return 1 / self\n"
+        "    def power(self, e):\n"
+        "        return self.power(e - 1) if e else self\n"
+        "    @classmethod\n"
+        "    def zero(cls):\n"
+        "        return cls([])\n"
+    )
+    reader = ast.parse("import mod\nmod.Poly.zero().degree\ninv = 3\n")
+    assert _dead_methods({"mod": source}, [source, reader]) == ["mod.Poly.inv", "mod.Poly.power"]
