@@ -10,6 +10,7 @@ randomness, inside finite-field factoring, is derandomized by seeding).
 from .conditions import (
     CONDITION_NAMES,
     BudgetExhausted,
+    Checker,
     ConditionReport,
     DivisorCheck,
     SearchBudget,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CONDITION_NAMES",
     "BudgetExhausted",
+    "Checker",
     "ConditionReport",
     "Curve",
     "DivisorCheck",

@@ -200,10 +200,6 @@ def _cmd_mestre(args) -> int:
     a = _t0_arg(args.a)
     b = _t0_arg(args.b)
     instance = mestre.build(a, b)
-    dP = mestre.morphism_degree(instance, instance.P)
-    dQ = mestre.morphism_degree(instance, instance.Q)
-    pair = mestre.pairing(instance, instance.P, instance.Q)
-    fac = factor(instance.g)
 
     if args.t0 is not None and args.specialized_rank is not None:
         conclusion = mestre.generator_certificate(
@@ -227,13 +223,16 @@ def _cmd_mestre(args) -> int:
     report = None
     if args.t0 is not None:
         report = mestre.injectivity_report(instance, _t0_arg(args.t0))
+    dP = mestre.morphism_degree(instance, instance.P)
+    dQ = mestre.morphism_degree(instance, instance.Q)
+    pair = mestre.pairing(instance, instance.P, instance.Q)
     if args.json:
         doc = {
             "a": instance.a,
             "b": instance.b,
             "scale": instance.scale,
             "g": str(instance.g),
-            "g_factorization": [[str(p), e] for p, e in fac.poly_factors],
+            "g_factorization": [[str(p), e] for p, e in factor(instance.g).poly_factors],
             "deg_P": dP,
             "deg_Q": dQ,
             "pairing_PQ": str(pair),

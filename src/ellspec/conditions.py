@@ -36,6 +36,7 @@ __all__ = [
     "ConditionReport",
     "SearchBudget",
     "BudgetExhausted",
+    "Checker",
     "enumerate_divisors",
     "check_condition",
     "lemma_nonsingular_checks",
@@ -159,8 +160,6 @@ def _one_torsion_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
     A, B, C = curve.coeff_polys()
     if not C.is_zero:
         raise ValueError("model must be y^2 = x^3 + A x^2 + B x (C = 0)")
-    if B.is_zero:
-        raise ValueError("model must have B != 0")
     quad_disc = A * A - 4 * B
     if poly_sqrt(quad_disc) is not None:
         raise ValueError(
@@ -181,78 +180,75 @@ _TARGET_BUILDERS = {
 }
 
 
-def _prepare(curve: Curve, condition: str):
-    """Everything the evaluation at one t0 needs that does not depend on
-    t0: (discriminant, (A, B, C) for A1B or None, targets), each target
-    as (label, factors, divisors), its distinct irreducible factors and
-    its divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx).
-    Each distinct piece is factored once; constant targets have no divisors."""
-    if condition not in CONDITION_NAMES:
-        raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
-    built = [tg for tg in _TARGET_BUILDERS[condition](curve)
-             if not all(p.is_constant for p in tg[1])]
-    facs = {p: factor(p) for p in {piece for _, pieces in built for piece in pieces}}
-    targets = [(label, *_divisor_products([facs[p] for p in pieces])) for label, pieces in built]
-    cubic = curve.coeff_polys() if condition == "A1B" else None
-    return curve.discriminant_poly(), cubic, targets
+class Checker:
+    """One criterion prepared for one curve.  The constructor factors each
+    distinct piece of the targets once and lists every target's divisors;
+    check(t0) then only evaluates them.  Constant targets have no divisors."""
 
+    def __init__(self, curve: Curve, condition: str):
+        if condition not in CONDITION_NAMES:
+            raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
+        built = [tg for tg in _TARGET_BUILDERS[condition](curve)
+                 if not all(p.is_constant for p in tg[1])]
+        facs = {p: factor(p) for p in {piece for _, pieces in built for piece in pieces}}
+        self.curve = curve
+        self.condition = condition
+        self.discriminant = curve.discriminant_poly()
+        # (label, distinct irreducible factors, divisors as (h, c, idx) with
+        # h = c * prod(factors[i] for i in idx))
+        self.targets = [(label, *_divisor_products([facs[p] for p in pieces]))
+                        for label, pieces in built]
 
-def _evaluate(
-    curve: Curve,
-    condition: str,
-    prepared: tuple,
-    t0: Fraction,
-    stop_early: bool = False,
-) -> ConditionReport:
-    discriminant, cubic, targets = prepared
-    Dv = discriminant(t0)
-    certifying = condition in ("A", "Aprime", "scriptA")
-    report = ConditionReport(
-        condition=condition,
-        curve=curve,
-        t0=t0,
-        passed=Dv != 0,
-        certifying=certifying,
-        discriminant_value=Dv,
-    )
-    if Dv == 0:
-        report.notes.append("discriminant vanishes at t0: specialization is singular")
-        return report
-    n, m = t0.numerator, t0.denominator
-    for label, factors, divisors in targets:
-        # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
-        values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
-        for h, c, idx in divisors:
-            value = Fraction(c * math.prod(values[i] for i in idx), m**h.degree)
-            root = is_square_rat(value)
-            report.checks.append(DivisorCheck(label, h, value, root))
-            if root is not None:
-                report.passed = False
-                if stop_early:
-                    return report
-    if condition == "A1B":
-        report.certifying = False
-        report.notes.append(
-            "diagnostic only: passing is NOT an injectivity certificate"
+    def check(self, t0, stop_early: bool = False) -> ConditionReport:
+        """The criterion at t0; stop_early ends a failing report at its
+        first square divisor value."""
+        # find_t0 hands over Fractions; converting each again slowed sweeps ~3%
+        t0 = t0 if isinstance(t0, Fraction) else Fraction(t0)
+        Dv = self.discriminant(t0)
+        report = ConditionReport(
+            condition=self.condition,
+            curve=self.curve,
+            t0=t0,
+            passed=Dv != 0,
+            certifying=self.condition != "A1B",
+            discriminant_value=Dv,
         )
-        A, B, C = cubic
-        spec_roots = _q_cubic_roots(A(t0), B(t0), C(t0))
-        a1_passed = report.passed
-        b_passed = len(spec_roots) == 0
-        report.subresults["A1"] = a1_passed
-        report.subresults["B"] = b_passed
-        report.passed = a1_passed and b_passed
-        if not b_passed:
+        if Dv == 0:
+            report.notes.append("discriminant vanishes at t0: specialization is singular")
+            return report
+        n, m = t0.numerator, t0.denominator
+        for label, factors, divisors in self.targets:
+            # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
+            values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
+            for h, c, idx in divisors:
+                value = Fraction(c * math.prod(values[i] for i in idx), m**h.degree)
+                root = is_square_rat(value)
+                report.checks.append(DivisorCheck(label, h, value, root))
+                if root is not None:
+                    report.passed = False
+                    if stop_early:
+                        return report
+        if self.condition == "A1B":
             report.notes.append(
-                f"specialized cubic has a rational root {spec_roots[0]}"
+                "diagnostic only: passing is NOT an injectivity certificate"
             )
-    return report
+            A, B, C = self.curve.coeff_polys()
+            spec_roots = _q_cubic_roots(A(t0), B(t0), C(t0))
+            a1_passed = report.passed
+            b_passed = len(spec_roots) == 0
+            report.subresults["A1"] = a1_passed
+            report.subresults["B"] = b_passed
+            report.passed = a1_passed and b_passed
+            if not b_passed:
+                report.notes.append(
+                    f"specialized cubic has a rational root {spec_roots[0]}"
+                )
+        return report
 
 
 def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionReport:
     """Run one of the four criteria at t0 and return the full report."""
-    prepared = _prepare(curve, condition)
-    return _evaluate(curve, condition, prepared, Fraction(t0))
+    return Checker(curve, condition).check(t0)
 
 
 def lemma_nonsingular_checks(curve: Curve, t0) -> tuple[bool, bool]:
@@ -293,10 +289,10 @@ def find_t0(
 ) -> ConditionReport:
     """First t0 in the documented enumeration order passing the given
     criterion; raises BudgetExhausted when none is found in budget."""
-    prepared = _prepare(curve, condition)
+    checker = Checker(curve, condition)
     for t0 in t0_candidates(budget):
         # stop_early only cuts a failing report short, so a pass is complete
-        report = _evaluate(curve, condition, prepared, t0, stop_early=True)
+        report = checker.check(t0, stop_early=True)
         if report.passed:
             return report
     raise BudgetExhausted(

@@ -53,19 +53,11 @@ def square_class_rep(x: RatFunc) -> IntPoly:
     return squarefree_part(x.num * x.den)
 
 
-def _split_data(curve: Curve):
-    if curve.field != "Q(t)":
-        raise ValueError("descent maps require a curve over Q(t)")
-    if curve.split_roots is None or len(curve.split_roots) != 3:
-        raise ValueError("descent maps require a fully split curve")
-    return curve.split_root_polys()
-
-
 def theta(curve: Curve, i: int, P: Point) -> SquareClass:
     """Descent homomorphism attached to the i-th root (i in 1..3):
     the square class of x(P) - e_i, with the usual conventions at O and
     at the 2-torsion point (e_i, 0)."""
-    roots = _split_data(curve)
+    roots = curve.split_root_polys()
     if i not in (1, 2, 3):
         raise ValueError("root index must be 1, 2 or 3")
     curve._require(P)
@@ -87,7 +79,7 @@ def in_double(curve: Curve, P: Point) -> bool:
 def divisibility_bound(curve: Curve, i: int) -> IntPoly:
     """The product (e_j - e_i)(e_k - e_i) that every descent
     representative s_i divides."""
-    roots = _split_data(curve)
+    roots = curve.split_root_polys()
     if i not in (1, 2, 3):
         raise ValueError("root index must be 1, 2 or 3")
     e = roots[i - 1]
@@ -96,12 +88,10 @@ def divisibility_bound(curve: Curve, i: int) -> IntPoly:
 
 
 def _shape_2torsion(curve: Curve):
-    """Require the model y^2 = x^3 + A x^2 + B x (C = 0, B != 0)."""
+    """Require the model y^2 = x^3 + A x^2 + B x (C = 0; nonsingular, so B != 0)."""
     zero = curve.C - curve.C
     if curve.C != zero:
         raise ValueError("model must have C = 0, i.e. carry the 2-torsion point (0,0)")
-    if curve.B == zero:
-        raise ValueError("model must have B != 0")
     return curve.A, curve.B
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mestre
-from .conditions import SearchBudget, check_condition, find_t0
+from .conditions import Checker, SearchBudget, check_condition, find_t0
 from .curves import Point
 from .factorize import factor
 from .intpoly import IntPoly
@@ -55,8 +55,9 @@ def _separation_example() -> list[GoldenResult]:
 def _rank_one_family() -> list[GoldenResult]:
     curve = parse_curve("y^2 = x^3 + t^2*x^2 - x")
     results = []
+    checker = Checker(curve, "scriptA")
     for t0 in (0, 1, -1):
-        rep = check_condition(curve, "scriptA", t0)
+        rep = checker.check(t0)
         results.append(
             _check(f"one-torsion criterion fails at t0={t0} on y^2=x^3+t^2x^2-x", not rep.passed)
         )
@@ -101,8 +102,9 @@ def _two_descent_example() -> list[GoldenResult]:
 def _diagnostic_counterexamples() -> list[GoldenResult]:
     results = []
     curve = parse_curve("y^2 = x^3 - x + t^2")
+    checker = Checker(curve, "A1B")
     for t0 in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
-        rep = check_condition(curve, "A1B", t0)
+        rep = checker.check(t0)
         results.append(
             _check(
                 f"discriminant diagnostic passes at t0={t0} on y^2=x^3-x+t^2",

@@ -101,8 +101,7 @@ def build(a, b) -> MestreInstance:
     bi = int(b * u**6)
 
     g = twist_polynomial(ai, bi)
-    unit, _, parts = squarefree_decompose(g)
-    if g.degree != 14 or any(m > 1 for _, m in parts):
+    if not degree_obstruction(g):
         raise AssertionError("twist polynomial must be squarefree of degree 14")
 
     rg = RatFunc(g)

@@ -11,6 +11,7 @@ from ellspec import conditions
 from ellspec.conditions import (
     _TARGET_BUILDERS,
     BudgetExhausted,
+    Checker,
     SearchBudget,
     certificate_to_json,
     check_condition,
@@ -112,6 +113,74 @@ def test_split_targets_factor_each_root_difference_once(monkeypatch, condition):
     assert _up_to_sign(factored) == _up_to_sign([e2 - e1, e3 - e1, e3 - e2])
 
 
+_CHECKER_CASES = [("split", "A"), ("split", "Aprime"), ("split", "A1B"),
+                  ("C=0", "scriptA"), ("C=0", "A1B"), ("general", "A1B")]
+
+
+def _sample_curve(kind: str, rng: random.Random) -> Curve:
+    if kind == "split":
+        return random_split_curve_with_point(rng)[0]
+    if kind == "C=0":
+        return random_c0_curve_with_point(rng)[0]
+    return _integral_model(random_qt_curve_with_points(rng)[0])
+
+
+@pytest.mark.parametrize("kind,condition", _CHECKER_CASES)
+def test_checker_factors_once_then_only_evaluates(monkeypatch, kind, condition):
+    rng = random.Random(f"checker {kind} {condition}")
+    t0s = [Fraction(n, d) for n in range(-2, 3) for d in (1, 2, 3, 5)]
+    factored = []
+    monkeypatch.setattr(conditions, "factor", lambda p: factored.append(p) or factor(p))
+    built = 0
+    while built < 3:
+        curve = _sample_curve(kind, rng)
+        factored.clear()
+        try:
+            checker = Checker(curve, condition)
+        except ValueError:  # scriptA on a curve whose cubic splits
+            continue
+        built += 1
+        pieces = {p for _, pcs in _TARGET_BUILDERS[condition](curve)
+                  if not all(q.is_constant for q in pcs) for p in pcs}
+        assert sorted(p.coeffs for p in factored) == sorted(p.coeffs for p in pieces)
+        factored.clear()
+        reports = [checker.check(t0) for t0 in t0s]
+        assert factored == []
+        for t0, report in zip(t0s, reports):
+            assert certificate_to_json(report) == certificate_to_json(
+                check_condition(curve, condition, t0)
+            )
+
+
+def test_checker_looks_up_the_traced_functions_at_call_time(monkeypatch):
+    """Count square tests and t0 candidates the way bench/tracing.py does,
+    by replacing the conditions module's bindings after import."""
+    counts = {"divisors": 0, "t0": 0}
+
+    def counted_square(value):
+        counts["divisors"] += 1
+        return is_square_rat(value)
+
+    def counted_candidates(*args, **kwargs):
+        for t0 in t0_candidates(*args, **kwargs):
+            counts["t0"] += 1
+            yield t0
+
+    curve = parse_curve("y^2 = x^3 + t^2*x^2 - x")
+    checker = Checker(curve, "scriptA")
+    monkeypatch.setattr(conditions, "is_square_rat", counted_square)
+    monkeypatch.setattr(conditions, "t0_candidates", counted_candidates)
+    report = checker.check(Fraction(7, 3))
+    assert counts["divisors"] == len(report.checks) > 0
+    budget = SearchBudget(int_bound=50, rat_height=2)
+    found = find_t0(curve, "scriptA", budget)
+    assert counts["t0"] == list(t0_candidates(budget)).index(found.t0) + 1 == 4
+    counts["t0"] = 0
+    with pytest.raises(BudgetExhausted):
+        find_t0(curve, "scriptA", SearchBudget(int_bound=1, rat_height=1))
+    assert counts["t0"] == len(list(t0_candidates(SearchBudget(int_bound=1, rat_height=1))))
+
+
 def test_strong_variant_implies_basic_one():
     # whenever Aprime passes, A must pass too (on a few sample points)
     curve = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
@@ -163,6 +232,7 @@ def test_unknown_condition_rejected():
     doc = json.loads(certificate_to_json(check_condition(curve, "A1B", 1)))
     doc["condition"] = "bogus"
     calls = [
+        lambda: Checker(curve, "bogus"),
         lambda: check_condition(curve, "bogus", 1),
         lambda: find_t0(curve, "bogus", SearchBudget(3, 2)),
         lambda: replay_certificate(doc),

@@ -22,6 +22,8 @@ def test_singular_models_rejected():
         Curve(Fraction(0), Fraction(0), Fraction(0))  # y^2 = x^3
     with pytest.raises(SingularCurveError):
         Curve(RatFunc(0), -3 * t * t, 2 * t * t * t)  # (x-t)^2(x+2t)
+    with pytest.raises(SingularCurveError):
+        Curve(t, 0, 0)  # x^2(x+t): C = 0 forces B != 0
 
 
 def test_membership_enforced():
