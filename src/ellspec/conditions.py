@@ -202,8 +202,7 @@ class Checker:
     def check(self, t0, stop_early: bool = False) -> ConditionReport:
         """The criterion at t0; stop_early ends a failing report at its
         first square divisor value."""
-        # find_t0 hands over Fractions; converting each again slowed sweeps ~3%
-        t0 = t0 if isinstance(t0, Fraction) else Fraction(t0)
+        t0 = Fraction(t0)
         Dv = self.discriminant(t0)
         report = ConditionReport(
             condition=self.condition,

@@ -123,7 +123,7 @@ class Curve:
         """(A, B, C) as elements of Z[t]; raises for other coefficient rings."""
         if self.field != "Q(t)":
             raise ValueError("curve is not defined over Q(t)")
-        if self._model_den.coeffs != (1,):  # `!= 1` would build an IntPoly per call
+        if self._model_den != 1:
             raise ValueError(f"coefficients of {self} are not all in Z[t]")
         return self._model
 
