@@ -26,7 +26,7 @@ from .conditions import (
 from .factorize import factor
 from .golden import run_golden_suite
 from .intmath import parse_rational
-from .parsing import ParseError, parse_curve, parse_point, parse_poly
+from .parsing import parse_curve, parse_point, parse_poly
 from .specialize import specialize_curve, specialize_point
 
 __all__ = ["main", "build_parser"]
@@ -36,15 +36,17 @@ class UsageError(Exception):
     pass
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _read_arg(value: str) -> str:
     """Literal string, or file contents when prefixed with '@'."""
-    if value.startswith("@"):
-        try:
-            with open(value[1:], encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {value[1:]!r}: {exc}") from exc
-    return value
+    return _read_file(value[1:]) if value.startswith("@") else value
 
 
 def _curve_arg(value: str):
@@ -136,12 +138,7 @@ def _cmd_check(args) -> int:
     if args.replay is not None:
         if args.condition or args.curve or args.t0:
             raise UsageError("--replay takes no other check arguments")
-        try:
-            with open(args.replay, encoding="utf-8") as fh:
-                doc = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.replay!r}: {exc}") from exc
-        matches, fresh = replay_certificate(doc)
+        matches, fresh = replay_certificate(_read_file(args.replay))
         if args.json:
             out = _certificate_doc(fresh)
             out["replay_matches"] = matches
@@ -291,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ParseError, ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from .curves import Curve, _q_cubic_roots
 from .factorize import factor
-from .intmath import is_square_rat, parse_rational
+from .intmath import as_rational, is_square_rat, parse_rational
 from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
 from .parsing import _parse_integral
 
@@ -202,7 +202,7 @@ class Checker:
     def check(self, t0, stop_early: bool = False) -> ConditionReport:
         """The criterion at t0; stop_early ends a failing report at its
         first square divisor value."""
-        t0 = Fraction(t0)
+        t0 = as_rational(t0)
         Dv = self.discriminant(t0)
         report = ConditionReport(
             condition=self.condition,
@@ -252,7 +252,7 @@ def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionRepo
 
 def lemma_nonsingular_checks(curve: Curve, t0) -> tuple[bool, bool]:
     """(D(t0) != 0, specialized cubic has exactly one rational root)."""
-    t0 = Fraction(t0)
+    t0 = as_rational(t0)
     A, B, C = curve.coeff_polys()
     nonsingular = curve.discriminant_poly()(t0) != 0
     roots = _q_cubic_roots(A(t0), B(t0), C(t0))

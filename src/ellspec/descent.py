@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import Curve, O, Point
-from .intpoly import IntPoly, squarefree_part
+from .intpoly import IntPoly, poly_sqrt, squarefree_part
 from .ratfunc import RatFunc
 
 __all__ = [
@@ -38,9 +38,9 @@ class SquareClass:
         return SquareClass(squarefree_part(self.representative * other.representative))
 
     def same_class(self, other: "SquareClass") -> bool:
-        """Class equality via squareness of the quotient (no factoring)."""
-        quotient = RatFunc(self.representative, other.representative)
-        return quotient.is_square()
+        """Class equality: r1/r2 is a square in Q(t) exactly when r1 * r2
+        is a square in Z[t] (no factoring)."""
+        return poly_sqrt(self.representative * other.representative) is not None
 
     def __str__(self) -> str:
         return str(self.representative)

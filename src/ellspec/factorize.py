@@ -341,13 +341,6 @@ class Factorization:
             out = out * g**e
         return out
 
-    @property
-    def content(self) -> int:
-        c = 1
-        for q, e in self.content_primes:
-            c *= q**e
-        return c
-
 
 def factor(p: IntPoly) -> Factorization:
     """Full irreducible factorization of a nonzero element of Z[t]."""

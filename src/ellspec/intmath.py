@@ -20,7 +20,7 @@ __all__ = [
     "FactorBudgetError",
     "squarefree_part_int",
     "exact_isqrt",
-    "is_square_int",
+    "as_rational",
     "is_square_rat",
     "parse_rational",
 ]
@@ -165,8 +165,15 @@ def exact_isqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def is_square_int(n: int) -> bool:
-    return exact_isqrt(n) is not None
+def as_rational(value: Fraction | int) -> Fraction:
+    """An int or Fraction as a Fraction, a Fraction unchanged.  Anything
+    else, such as a float, str or Decimal, raises TypeError: a float's
+    exact binary value is not the rational it was written as."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"an int or Fraction is required, got {value!r}")
 
 
 def is_square_rat(q: Fraction | int) -> Fraction | None:

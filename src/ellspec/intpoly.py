@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .intmath import exact_isqrt, factor_int
+from .intmath import exact_isqrt, squarefree_part_int
 
 __all__ = [
     "IntPoly",
@@ -20,8 +20,6 @@ __all__ = [
     "squarefree_decompose",
     "squarefree_part",
     "poly_sqrt",
-    "rational_square_decompose",
-    "radical",
 ]
 
 
@@ -436,8 +434,6 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     Sign of the unit times the squarefree part of the content times the
     odd-multiplicity Yun factors.
     """
-    from .intmath import squarefree_part_int
-
     unit, content, parts = squarefree_decompose(p)
     out = IntPoly.const(unit * squarefree_part_int(content))
     for d, m in parts:
@@ -447,49 +443,18 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def poly_sqrt(p: IntPoly) -> IntPoly | None:
-    """Exact square root in Z[t] when p is a perfect square, else None."""
+    """Exact square root in Z[t], with lc > 0, when p is a perfect square,
+    else None: the content must be a square and every Yun multiplicity
+    even."""
     if p.is_zero:
         return IntPoly()
     if p.lc < 0:
         return None
-    try:
-        c, root = rational_square_decompose(p)
-    except ValueError:
-        return None
-    ci = exact_isqrt(c.numerator)
-    if c.denominator != 1 or ci is None:
-        return None
-    return ci * root
-
-
-def rational_square_decompose(p: IntPoly) -> tuple[Fraction, IntPoly]:
-    """Write nonzero p as c * m**2 with c in Q and m in Z[t] primitive, lc > 0.
-
-    Raises ValueError when the polynomial part is not a perfect square
-    (some irreducible factor has odd multiplicity).
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    unit, content, parts = squarefree_decompose(p)
-    m = IntPoly.const(1)
-    for d, mult in parts:
-        if mult % 2:
-            raise ValueError("polynomial part is not a square")
-        m = m * d ** (mult // 2)
-    return Fraction(unit * content), m
-
-
-def radical(p: IntPoly) -> IntPoly:
-    """Product of distinct primitive irreducible factors and distinct
-    content primes, positive leading coefficient."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
     _, content, parts = squarefree_decompose(p)
-    out = IntPoly.const(1)
-    if content != 1:
-        _, primes = factor_int(content)
-        for q in primes:
-            out = out * q
-    for d, _ in parts:
-        out = out * d
+    root = exact_isqrt(content)
+    if root is None or any(m % 2 for _, m in parts):
+        return None
+    out = IntPoly.const(root)
+    for d, m in parts:
+        out = out * d ** (m // 2)
     return out

@@ -26,7 +26,7 @@ from .conditions import (
     check_condition,
 )
 from .curves import Curve, Point, _int_cubic_roots
-from .intmath import factor_int
+from .intmath import as_rational, factor_int
 from .intpoly import IntPoly, squarefree_decompose
 from .ratfunc import RatFunc
 
@@ -90,8 +90,8 @@ def build(a, b) -> MestreInstance:
     Rational inputs are cleared to integers by the (u^4, u^6) model
     rescaling before any Z[t] work; the scale is recorded.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a = as_rational(a)
+    b = as_rational(b)
     if a == 0 or b == 0:
         raise ValueError("the family requires ab != 0")
     if 4 * a**3 + 27 * b**2 == 0:
@@ -229,7 +229,7 @@ def generator_certificate(
     either certified here (when a certifying criterion applies and
     passes) or accepted as a declared external assertion.
     """
-    t0 = Fraction(t0)
+    t0 = as_rational(t0)
     report = injectivity_report(instance, t0)
     notes: list[str] = []
     if report.certifying and report.passed:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intmath import is_square_rat
-from .intpoly import IntPoly, _power, poly_gcd, rational_square_decompose
+from .intpoly import IntPoly, _power, poly_gcd, poly_sqrt
 
 __all__ = ["RatFunc"]
 
@@ -172,21 +171,11 @@ class RatFunc:
 
     def sqrt(self) -> "RatFunc | None":
         """A square root in Q(t) when one exists (numerator lc chosen
-        positive), else None."""
-        if self.is_zero:
-            return RatFunc(0)
-        try:
-            cn, mn = rational_square_decompose(self.num)
-            cd, md = rational_square_decompose(self.den)
-        except ValueError:
-            return None
-        ratio = is_square_rat(cn / cd)
-        if ratio is None:
-            return None
-        root = RatFunc(ratio) * RatFunc(mn, md)
-        if root.num.lc < 0:
-            root = -root
-        return root
+        positive), else None.  By Gauss's lemma the reduced num/den is a
+        square exactly when num * den is a square in Z[t], and then
+        sqrt(num * den) / den is a root."""
+        root = poly_sqrt(self.num * self.den)
+        return None if root is None else RatFunc(root, self.den)
 
     def is_square(self) -> bool:
         return self.sqrt() is not None

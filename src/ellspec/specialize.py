@@ -6,9 +6,9 @@ exhaustive bounded relation search used to exhibit non-injectivity.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .curves import Curve, O, Point
+from .intmath import as_rational
 from .ratfunc import RatFunc
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
 
 def specialize_curve(curve: Curve, t0) -> Curve:
     """Evaluate the model at t0; requires a nonsingular specialization."""
-    t0 = Fraction(t0)
+    t0 = as_rational(t0)
     values = [RatFunc._coerce(v)(t0) for v in (curve.A, curve.B, curve.C)]
     if any(v is None for v in values):
         raise ValueError(f"a coefficient has a pole at t0={t0}")
@@ -33,7 +33,7 @@ def specialize_curve(curve: Curve, t0) -> Curve:
 
 def specialize_point(curve: Curve, P: Point, t0) -> Point:
     """sigma_{t0}(P): coordinate evaluation, with poles mapping to O."""
-    t0 = Fraction(t0)
+    t0 = as_rational(t0)
     target = specialize_curve(curve, t0)
     if P.is_infinity:
         return O
@@ -49,7 +49,7 @@ def specialize_point(curve: Curve, P: Point, t0) -> Point:
 
 def homomorphism_check(curve: Curve, P: Point, Q: Point, t0) -> bool:
     """sigma(P + Q) == sigma(P) + sigma(Q), both sides computed independently."""
-    t0 = Fraction(t0)
+    t0 = as_rational(t0)
     target = specialize_curve(curve, t0)
     lhs = specialize_point(curve, curve.add(P, Q), t0)
     rhs = target.add(specialize_point(curve, P, t0), specialize_point(curve, Q, t0))

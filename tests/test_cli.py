@@ -254,6 +254,20 @@ def test_replay_of_a_malformed_certificate_exits_2(tmp_path, capsys, edit):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--replay", "{}"),
+        ("check", "--condition", "A", "--curve", "@{}", "--t0", "1"),
+    ],
+    ids=["replay", "curve"],
+)
+def test_an_unreadable_file_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    code, _, err = run(capsys, *(a.format(missing) for a in argv))
+    assert code == 2 and "cannot read" in err
+
+
 def test_curve_from_file(tmp_path, capsys):
     path = tmp_path / "curve.txt"
     path.write_text("y^2 = x^3 + t^2*x^2 - x\n")

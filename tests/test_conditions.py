@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellspec import conditions
+from ellspec import conditions, mestre
 from ellspec.conditions import (
     _TARGET_BUILDERS,
     BudgetExhausted,
@@ -21,12 +21,13 @@ from ellspec.conditions import (
     replay_certificate,
     t0_candidates,
 )
-from ellspec.curves import Curve
+from ellspec.curves import Curve, O
 from ellspec.factorize import factor
 from ellspec.intmath import is_square_rat
 from ellspec.intpoly import IntPoly, squarefree_part
 from ellspec.parsing import ParseError, parse_curve
 from ellspec.ratfunc import RatFunc
+from ellspec.specialize import homomorphism_check, specialize_curve, specialize_point
 from samples import (
     random_c0_curve_with_point,
     random_qt_curve_with_points,
@@ -250,6 +251,31 @@ def test_lemma_nonsingular_checks():
     split = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
     nonsing, unique_root = lemma_nonsingular_checks(split, 2)
     assert nonsing and not unique_root  # three rational roots
+
+
+_SPLIT = parse_curve("e=(0, t, 7*t+1)")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Checker(_SPLIT, "A").check(0.1),
+        lambda: check_condition(_SPLIT, "A", 0.1),
+        lambda: lemma_nonsingular_checks(_SPLIT, 0.1),
+        lambda: specialize_curve(_SPLIT, 0.1),
+        lambda: specialize_point(_SPLIT, O, 0.1),
+        lambda: homomorphism_check(_SPLIT, O, O, 0.1),
+        lambda: mestre.build(0.1, 12),
+        lambda: mestre.build(2, 0.1),
+        lambda: mestre.generator_certificate(mestre.build(2, 12), 0.1, 2, "declared"),
+    ],
+    ids=["check", "check_condition", "lemma", "specialize_curve", "specialize_point",
+         "homomorphism_check", "build a", "build b", "generator_certificate"],
+)
+def test_a_float_t0_is_rejected(call):
+    # 0.1 is not 1/10: at its binary value criterion A passes, at 1/10 it fails
+    with pytest.raises(TypeError):
+        call()
 
 
 # -- search -------------------------------------------------------------------

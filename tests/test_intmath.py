@@ -1,13 +1,15 @@
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ellspec.intmath import (
+    as_rational,
     exact_isqrt,
     factor_int,
     is_probable_prime,
-    is_square_int,
     is_square_rat,
     parse_rational,
     squarefree_part_int,
@@ -53,9 +55,18 @@ def test_factor_int_large_semiprime():
 def test_exact_isqrt(n):
     r = exact_isqrt(n)
     if r is None:
-        assert not is_square_int(n)
+        assert math.isqrt(n) ** 2 != n
     else:
         assert r * r == n
+
+
+def test_as_rational():
+    q = Fraction(1, 10)
+    assert as_rational(q) is q
+    assert as_rational(-7) == Fraction(-7) and type(as_rational(-7)) is Fraction
+    for bad in (0.1, "1/10", Decimal("0.1")):
+        with pytest.raises(TypeError):
+            as_rational(bad)
 
 
 def test_squarefree_part_int():

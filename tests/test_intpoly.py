@@ -9,8 +9,6 @@ from ellspec.intpoly import (
     cubic_discriminant,
     poly_gcd,
     poly_sqrt,
-    radical,
-    rational_square_decompose,
     squarefree_decompose,
     squarefree_part,
 )
@@ -120,20 +118,6 @@ def test_poly_sqrt():
     assert poly_sqrt(IntPoly()) == IntPoly()
     # square of a negative-leading polynomial: root reported with lc > 0
     assert poly_sqrt((1 - T) ** 2) == T - 1
-
-
-def test_rational_square_decompose():
-    c, m = rational_square_decompose(12 * (T + 1) ** 2)
-    assert c == 12 and m == T + 1
-    c, m = rational_square_decompose(IntPoly.const(-3))
-    assert c == -3 and m == IntPoly.const(1)
-    with pytest.raises(ValueError):
-        rational_square_decompose(T**3)  # odd multiplicity of t
-
-
-def test_radical():
-    assert radical(12 * (T - 1) ** 2 * (T + 1)) == 6 * (T - 1) * (T + 1)
-    assert radical(IntPoly.const(-8)) == IntPoly.const(2)
 
 
 def test_cubic_discriminant_matches_definition():
