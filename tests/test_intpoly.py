@@ -118,6 +118,9 @@ def test_poly_sqrt():
     assert poly_sqrt(IntPoly()) == IntPoly()
     # square of a negative-leading polynomial: root reported with lc > 0
     assert poly_sqrt((1 - T) ** 2) == T - 1
+    # the content must be a square too
+    assert poly_sqrt(4 * (T + 1) ** 2) == 2 * (T + 1)
+    assert poly_sqrt(12 * (T + 1) ** 2) is None
 
 
 def test_cubic_discriminant_matches_definition():

@@ -43,8 +43,8 @@ def _is_square_int(n: int) -> bool:
 
 
 def _sympy_leading_and_even(p: IntPoly) -> tuple[Fraction, bool]:
-    """(leading constant, every irreducible exponent even) for nonzero p
-    over Q, from sympy's factor_list."""
+    """(integer coefficient, every irreducible exponent even) of nonzero p
+    in sympy's factor_list."""
     coeff, factors = _sympy_poly(p).factor_list()
     return Fraction(int(coeff)), all(e % 2 == 0 for _, e in factors)
 
