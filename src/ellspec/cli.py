@@ -2,13 +2,14 @@
 
 Exit codes: 0 success / condition passes, 1 condition fails (or no t0
 found within budget), 2 usage or parse error, 3 internal invariant
-violation.
+violation, 141 (128 + SIGPIPE) the reader closed standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from .parsing import parse_curve, parse_point, parse_poly
 from .specialize import specialize_curve, specialize_point
 
 __all__ = ["main", "build_parser"]
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class UsageError(Exception):
@@ -287,7 +290,15 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass through
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,6 +193,7 @@ class Checker:
         facs = {p: factor(p) for p in {piece for _, pieces in built for piece in pieces}}
         self.curve = curve
         self.condition = condition
+        self.model = curve.coeff_polys()
         self.discriminant = curve.discriminant_poly()
         # (label, distinct irreducible factors, divisors as (h, c, idx) with
         # h = c * prod(factors[i] for i in idx))
@@ -231,7 +232,7 @@ class Checker:
             report.notes.append(
                 "diagnostic only: passing is NOT an injectivity certificate"
             )
-            A, B, C = self.curve.coeff_polys()
+            A, B, C = self.model
             spec_roots = _q_cubic_roots(A(t0), B(t0), C(t0))
             a1_passed = report.passed
             b_passed = len(spec_roots) == 0

@@ -9,7 +9,7 @@ coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .factorize import _mignotte_bound
@@ -33,10 +33,16 @@ class OffCurveError(ValueError):
 
 @dataclass(frozen=True)
 class Point:
-    """Affine point (x, y) or the neutral element O (x is None)."""
+    """Affine point (x, y) or the neutral element O (x is None).
+
+    `_proven_on` is the Curve object that proved the point lies on it, or
+    None.  Only Curve sets it (Curve.point and the group law), and it takes
+    no part in equality, hashing or printing.
+    """
 
     x: object = None
     y: object = None
+    _proven_on: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def is_infinity(self) -> bool:
@@ -57,6 +63,9 @@ class XDecomposition:
 
     p: IntPoly
     q: IntPoly
+
+
+_EXACT = (int, Fraction, IntPoly, RatFunc)
 
 
 def _coerce_field(value):
@@ -147,20 +156,45 @@ class Curve:
             return True
         return P.y * P.y == self.rhs(P.x)
 
-    def _require(self, P: Point) -> None:
+    def point(self, x, y) -> Point:
+        """The affine point (x, y), checked once against the equation and
+        marked as proven on this curve object, so that the group law never
+        checks it again.  Coordinates must be exact (int, Fraction, IntPoly
+        or RatFunc): a float raises TypeError, an off-curve pair
+        OffCurveError."""
+        for c in (x, y):
+            if not isinstance(c, _EXACT):
+                raise TypeError(f"point coordinate {c!r} is not exact")
+        P = Point(x, y)
         if not self.contains(P):
             raise OffCurveError(f"point {P} is not on {self}")
+        return self._proven(x, y)
 
-    # -- group law --------------------------------------------------------
+    def _proven(self, x, y) -> Point:
+        """(x, y) marked as proven on this curve; the caller guarantees
+        that it satisfies the equation."""
+        P = Point(x, y)
+        object.__setattr__(P, "_proven_on", self)
+        return P
+
+    def _require(self, P: Point) -> Point:
+        """P as a point proven on this curve: P itself when it is O or this
+        curve object proved it, else a checked copy (see point)."""
+        if P._proven_on is self or P.is_infinity:
+            return P
+        return self.point(P.x, P.y)
+
+    # -- group law: every result is proven on self --------------------------
 
     def neg(self, P: Point) -> Point:
+        P = self._require(P)
         if P.is_infinity:
             return P
-        return Point(P.x, -P.y)
+        return self._proven(P.x, -P.y)
 
     def add(self, P: Point, Q: Point) -> Point:
-        self._require(P)
-        self._require(Q)
+        P = self._require(P)
+        Q = self._require(Q)
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -174,15 +208,15 @@ class Curve:
             slope = (Q.y - P.y) / (Q.x - P.x)
         x3 = slope * slope - self.A - P.x - Q.x
         y3 = slope * (P.x - x3) - P.y
-        return Point(x3, y3)
+        return self._proven(x3, y3)
 
     def sub(self, P: Point, Q: Point) -> Point:
         return self.add(P, self.neg(Q))
 
     def scalar_mul(self, m: int, P: Point) -> Point:
-        self._require(P)
+        P = self._require(P)
         if m < 0:
-            return self.scalar_mul(-m, self.neg(P))
+            m, P = -m, self.neg(P)
         result = O
         base = P
         while m:
@@ -201,7 +235,7 @@ class Curve:
             roots = _q_cubic_roots(self.A, self.B, self.C)
         else:
             roots = [RatFunc(X.num, self._model_den) for X in _qt_cubic_roots(*self._model)]
-        return [O] + [Point(e, e - e) for e in roots]
+        return [O] + [self._proven(e, e - e) for e in roots]
 
     # -- x-coordinate decomposition ----------------------------------------
 

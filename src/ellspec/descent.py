@@ -30,6 +30,10 @@ class SquareClass:
 
     representative: IntPoly
 
+    def __post_init__(self):
+        if self.representative.is_zero:
+            raise ValueError("zero has no square class")
+
     @property
     def is_trivial(self) -> bool:
         return self.representative == IntPoly.const(1)

@@ -6,6 +6,7 @@ exhaustive bounded relation search used to exhibit non-injectivity.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .curves import Curve, O, Point
 from .intmath import as_rational
@@ -34,7 +35,13 @@ def specialize_curve(curve: Curve, t0) -> Curve:
 def specialize_point(curve: Curve, P: Point, t0) -> Point:
     """sigma_{t0}(P): coordinate evaluation, with poles mapping to O."""
     t0 = as_rational(t0)
-    target = specialize_curve(curve, t0)
+    return _image(curve, specialize_curve(curve, t0), P, t0)
+
+
+def _image(curve: Curve, target: Curve, P: Point, t0: Fraction) -> Point:
+    """sigma_{t0}(P) on target = specialize_curve(curve, t0).  Evaluation
+    at a t0 where x, y, A, B and C have no pole is a ring homomorphism, so
+    the image of a point on curve lies on target without a check."""
     if P.is_infinity:
         return O
     curve._require(P)
@@ -42,17 +49,15 @@ def specialize_point(curve: Curve, P: Point, t0) -> Point:
     y = RatFunc._coerce(P.y)(t0)
     if x is None or y is None:
         return O
-    image = Point(x, y)
-    target._require(image)
-    return image
+    return target._proven(x, y)
 
 
 def homomorphism_check(curve: Curve, P: Point, Q: Point, t0) -> bool:
     """sigma(P + Q) == sigma(P) + sigma(Q), both sides computed independently."""
     t0 = as_rational(t0)
     target = specialize_curve(curve, t0)
-    lhs = specialize_point(curve, curve.add(P, Q), t0)
-    rhs = target.add(specialize_point(curve, P, t0), specialize_point(curve, Q, t0))
+    lhs = _image(curve, target, curve.add(P, Q), t0)
+    rhs = target.add(_image(curve, target, P, t0), _image(curve, target, Q, t0))
     return lhs == rhs
 
 
@@ -64,11 +69,13 @@ def relation_search(
 
     Minimal by max-norm; ties broken by scanning each coordinate in the
     order 0, 1, -1, 2, -2, ...  Exhaustive over the integer box;
-    exponential in len(points), which stays tiny here.  An empty result
-    means no relation in the box, not independence.
+    exponential in len(points), which stays tiny here.  None means no
+    relation in the box, not independence.  An empty list of points has
+    no nonzero relation at all, so it gives None too.
     """
-    for P in points:
-        curve._require(P)
+    if not points:
+        return None
+    points = [curve._require(P) for P in points]
     multiples: list[dict[int, Point]] = []
     for P in points:
         table = {0: O}

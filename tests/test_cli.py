@@ -321,9 +321,33 @@ sys.exit(cli.main(["factor", "t^2-1"]))
 """
 
 
-def test_invariant_violation_exits_3_under_python_O():
+def _env_with_src():
     src = str(Path(ellspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("factor", "t^2-1"), ("check", *_SPLIT, "--json")],
+    ids=["short output", "certificate"],
+)
+def test_a_closed_stdout_exits_141_quietly(argv):
+    # the reader is gone before the first write, as in `ellspec ... | head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellspec", *argv],
+            env=_env_with_src(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141  # 128 + SIGPIPE
+    assert proc.stderr == ""
+
+
+def test_invariant_violation_exits_3_under_python_O():
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _BROKEN_INVARIANT],
         env=env, capture_output=True, text=True, timeout=60,

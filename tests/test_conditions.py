@@ -221,6 +221,18 @@ def test_diagnostic_subchecks_split():
     assert not rep.passed
 
 
+def test_checker_reads_the_model_once(monkeypatch):
+    curve = parse_curve("y^2 = x^3 - t^2*x + 1")
+    checker = Checker(curve, "A1B")
+    reads = []
+    coeff_polys = Curve.coeff_polys
+    monkeypatch.setattr(Curve, "coeff_polys", lambda self: reads.append(self) or coeff_polys(self))
+    reports = [checker.check(t0) for t0 in range(-3, 4)]
+    assert reads == []
+    for t0, report in zip(range(-3, 4), reports):
+        assert certificate_to_json(report) == certificate_to_json(check_condition(curve, "A1B", t0))
+
+
 def test_singular_t0_always_fails():
     # roots 0, t, 2t collide at t0 = 0, so the specialization is singular
     rep = check_condition(Curve.from_roots(RatFunc(0), t, 2 * t), "A", 0)

@@ -34,6 +34,79 @@ def test_membership_enforced():
         curve.add(Point(Fraction(2), Fraction(1)), O)
 
 
+def count_contains(monkeypatch) -> list:
+    """Record every Curve.contains call from now on."""
+    calls = []
+    contains = Curve.contains
+    monkeypatch.setattr(Curve, "contains", lambda self, P: calls.append(P) or contains(self, P))
+    return calls
+
+
+def test_float_coordinates_rejected():
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))  # y^2 = x^3 - x + 1
+    with pytest.raises(TypeError):
+        curve.add(Point(1.0, 1.0), Point(1.0, 1.0))
+    with pytest.raises(TypeError):
+        curve.point(1.0, 1.0)
+    with pytest.raises(TypeError):
+        curve.point(Fraction(1), 1.0)
+    with pytest.raises(TypeError):
+        curve.scalar_mul(2, Point(Fraction(1), 1.0))
+
+
+def test_point_checks_the_equation_once(monkeypatch):
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))
+    with pytest.raises(OffCurveError):
+        curve.point(Fraction(2), Fraction(1))
+    calls = count_contains(monkeypatch)
+    P = curve.point(1, Fraction(1))  # ints are exact
+    assert len(calls) == 1
+    curve.add(P, P)
+    curve.neg(P)
+    curve.scalar_mul(-3, P)
+    assert len(calls) == 1
+
+
+def test_proof_mark_is_invisible():
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))
+    proven = curve.point(Fraction(1), Fraction(1))
+    plain = Point(Fraction(1), Fraction(1))
+    assert proven == plain and hash(proven) == hash(plain)
+    assert (str(proven), repr(proven)) == (str(plain), repr(plain))
+    assert curve.add(proven, proven) == curve.add(plain, plain)
+    with pytest.raises(TypeError):
+        Point(Fraction(1), Fraction(1), curve)  # the mark is not a constructor argument
+
+
+def test_proof_does_not_carry_to_another_curve(monkeypatch):
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))  # (1, 1) is on it
+    other = Curve(Fraction(0), Fraction(-1), Fraction(2))  # (1, 1) is not
+    P = curve.point(Fraction(1), Fraction(1))
+    with pytest.raises(OffCurveError):
+        other.add(P, P)
+    with pytest.raises(OffCurveError):
+        other.scalar_mul(2, P)
+    # an equal model built again is another curve object: it checks P
+    # where P enters, and trusts its own sum
+    same = Curve(Fraction(0), Fraction(-1), Fraction(1))
+    calls = count_contains(monkeypatch)
+    twoP = same.add(P, P)
+    assert len(calls) == 2
+    same.add(twoP, twoP)
+    assert len(calls) == 2
+
+
+def test_scalar_mul_checks_an_unproven_point_once(monkeypatch):
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))
+    P = Point(Fraction(1), Fraction(1))
+    calls = count_contains(monkeypatch)
+    fiveP = curve.scalar_mul(5, P)
+    assert calls == [P]
+    calls.clear()
+    assert curve.contains(fiveP)  # the oracle call is the only one
+    assert len(calls) == 1
+
+
 def test_group_identity_and_inverse():
     curve = Curve(Fraction(0), Fraction(-1), Fraction(1))  # y^2 = x^3 - x + 1
     P = Point(Fraction(1), Fraction(1))
@@ -52,20 +125,29 @@ def test_known_doubling():
     assert twoP.x == RatFunc(IntPoly.const(1), T**2)
 
 
+def _assert_associative(curve, P, Q, R):
+    """(P + Q) + R == P + (Q + R) and P + Q == Q + P, with every sum on the
+    curve: the group law does not re-check its own results, so this does."""
+    PQ, QR, QP = curve.add(P, Q), curve.add(Q, R), curve.add(Q, P)
+    left, right = curve.add(PQ, R), curve.add(P, QR)
+    for S in (PQ, QR, QP, left, right):
+        assert curve.contains(S)
+    assert left == right
+    assert PQ == QP
+
+
 def test_associativity_over_q():
     rng = random.Random(101)
     for _ in range(100):
         curve, (P, Q, R) = random_q_curve_with_points(rng)
-        assert curve.add(curve.add(P, Q), R) == curve.add(P, curve.add(Q, R))
-        assert curve.add(P, Q) == curve.add(Q, P)
+        _assert_associative(curve, P, Q, R)
 
 
 def test_associativity_over_qt():
     rng = random.Random(202)
     for _ in range(20):
         curve, (P, Q, R) = random_qt_curve_with_points(rng)
-        assert curve.add(curve.add(P, Q), R) == curve.add(P, curve.add(Q, R))
-        assert curve.add(P, Q) == curve.add(Q, P)
+        _assert_associative(curve, P, Q, R)
 
 
 def test_scalar_mul_agrees_with_repeated_addition():
@@ -74,6 +156,7 @@ def test_scalar_mul_agrees_with_repeated_addition():
     acc = O
     for m in range(1, 8):
         acc = curve.add(acc, P)
+        assert curve.contains(acc)
         assert curve.scalar_mul(m, P) == acc
 
 

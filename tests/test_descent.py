@@ -29,6 +29,11 @@ def test_square_class_rep():
         square_class_rep(RatFunc(0))
 
 
+def test_zero_has_no_square_class():
+    with pytest.raises(ValueError, match="zero has no square class"):
+        SquareClass(IntPoly())
+
+
 def test_square_class_equality_without_factoring():
     a = SquareClass(2 * T)
     b = SquareClass(2 * T * (T + 1) ** 2)  # not squarefree, same class anyway

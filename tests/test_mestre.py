@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ellspec import mestre
-from ellspec.curves import O, Point
+from ellspec.curves import Curve, O, Point
 from ellspec.factorize import factor
 from ellspec.intpoly import IntPoly, squarefree_decompose
 from ellspec.parsing import parse_poly
@@ -52,6 +52,31 @@ def test_build_puts_points_on_curve():
     assert inst.curve.contains(inst.P)
     assert inst.curve.contains(inst.Q)
     assert inst.P != inst.Q
+
+
+# mP + nQ for m, n >= 0 and 2 <= m^2 + n^2 <= 5, each one addition of
+# points already computed: (sum, left summand, right summand)
+_CHAIN = (
+    ((1, 1), (1, 0), (0, 1)),
+    ((2, 0), (1, 0), (1, 0)),
+    ((0, 2), (0, 1), (0, 1)),
+    ((2, 1), (2, 0), (0, 1)),
+    ((1, 2), (0, 2), (1, 0)),
+)
+
+
+def test_points_are_checked_once_where_they_enter(monkeypatch):
+    calls = []
+    contains = Curve.contains
+    monkeypatch.setattr(Curve, "contains", lambda self, P: calls.append(P) or contains(self, P))
+    inst = mestre.build(1, 1)
+    assert calls == [inst.P, inst.Q]
+    points = {(1, 0): inst.P, (0, 1): inst.Q}
+    for total, left, right in _CHAIN:
+        points[total] = inst.curve.add(points[left], points[right])
+        m, n = total
+        assert mestre.morphism_degree(inst, points[total]) == 4 * (m * m + n * n)
+    assert len(calls) == 2
 
 
 def test_rational_parameters_are_rescaled():

@@ -55,6 +55,10 @@ def test_homomorphism_property_on_samples():
             if not disc(t0):  # singular fiber or coefficient pole
                 continue
             assert homomorphism_check(curve, P, Q, t0)
+            # images are marked proven unchecked, so check them here
+            target = specialize_curve(curve, t0)
+            for T in (P, Q, curve.add(P, Q)):
+                assert target.contains(specialize_point(curve, T, t0))
 
 
 def test_relation_search_finds_obvious_relation():
@@ -78,6 +82,11 @@ def test_relation_search_no_relation_in_box():
     assert relation_search(curve, [P], 3) is None
     rel = relation_search(curve, [P, twoP], 3)
     assert rel == (2, -1)
+
+
+def test_relation_search_without_points_finds_none():
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))
+    assert relation_search(curve, [], 3) is None
 
 
 def test_relation_search_validates_points():
