@@ -236,7 +236,7 @@ def _cmd_mestre(args) -> int:
             "deg_P": dP,
             "deg_Q": dQ,
             "pairing_PQ": str(pair),
-            "small_degree_excluded": mestre.small_degree_exclusion(instance),
+            "small_degree_excluded": mestre.degree_obstruction(instance.g),
         }
         if report is not None:
             doc["injectivity"] = _certificate_doc(report)

@@ -1,9 +1,9 @@
 """Weierstrass cubics y^2 = x^3 + A x^2 + B x + C and their group law.
 
-Generic over an exact field: coefficients are either Fraction (curves
-over Q) or RatFunc (curves over Q(t)).  Points are affine pairs plus an
-explicit neutral element O; everything is exact, no projective
-coordinates.
+Generic over an exact field: coefficients and point coordinates are
+either Fraction (curves over Q) or RatFunc (curves over Q(t)).  Points
+are affine pairs plus an explicit neutral element O; everything is
+exact, no projective coordinates.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .factorize import _mignotte_bound
+from .intmath import as_rational
 from .intpoly import IntPoly, _from_balanced_digits, _horner, cubic_discriminant, poly_sqrt
 from .ratfunc import RatFunc
 
@@ -65,33 +66,18 @@ class XDecomposition:
     q: IntPoly
 
 
-_EXACT = (int, Fraction, IntPoly, RatFunc)
-
-
-def _coerce_field(value):
-    """Normalize a coefficient to Fraction or RatFunc."""
-    if isinstance(value, (Fraction, RatFunc)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, IntPoly):
-        return RatFunc(value)
-    raise TypeError(f"unsupported coefficient {value!r}")
-
-
 class Curve:
-    """Nonsingular cubic y^2 = x^3 + A x^2 + B x + C over Q or Q(t)."""
+    """Nonsingular cubic y^2 = x^3 + A x^2 + B x + C over Q(t) when a
+    coefficient is an IntPoly or RatFunc, else over Q.  Coefficients and
+    point coordinates enter that field once, here."""
 
     def __init__(self, A, B, C):
-        self.A = _coerce_field(A)
-        self.B = _coerce_field(B)
-        self.C = _coerce_field(C)
+        over_qt = any(isinstance(c, (IntPoly, RatFunc)) for c in (A, B, C))
+        self.field = "Q(t)" if over_qt else "Q"
+        self._element = RatFunc._coerce if over_qt else as_rational
+        self.A, self.B, self.C = (self._element(c) for c in (A, B, C))
         self.split_roots = None
-        if isinstance(self.A, RatFunc) or isinstance(self.B, RatFunc) or isinstance(self.C, RatFunc):
-            self.A = RatFunc._coerce(self.A)
-            self.B = RatFunc._coerce(self.B)
-            self.C = RatFunc._coerce(self.C)
-            self.field = "Q(t)"
+        if over_qt:
             # x = X/d turns the cubic into the monic X^3 + aX^2 + bX + c with
             # a, b, c = dA, d^2B, d^3C in Z[t], d the product of the
             # denominators; its discriminant is d^6 times that of the cubic
@@ -103,7 +89,6 @@ class Curve:
             self._model_den = d
             self.disc_cubic = RatFunc(cubic_discriminant(*self._model), d**6)
         else:
-            self.field = "Q"
             self.disc_cubic = cubic_discriminant(self.A, self.B, self.C)
         if not self.disc_cubic:
             raise SingularCurveError(self.disc_cubic)
@@ -157,14 +142,13 @@ class Curve:
         return P.y * P.y == self.rhs(P.x)
 
     def point(self, x, y) -> Point:
-        """The affine point (x, y), checked once against the equation and
-        marked as proven on this curve object, so that the group law never
-        checks it again.  Coordinates must be exact (int, Fraction, IntPoly
-        or RatFunc): a float raises TypeError, an off-curve pair
-        OffCurveError."""
-        for c in (x, y):
-            if not isinstance(c, _EXACT):
-                raise TypeError(f"point coordinate {c!r} is not exact")
+        """The affine point (x, y) with its coordinates taken into the
+        curve's field, checked once against the equation and marked as
+        proven on this curve object, so that the group law never checks it
+        again.  Over Q a coordinate must be an int or Fraction, over Q(t)
+        an int, Fraction, IntPoly or RatFunc; anything else, such as a
+        float, raises TypeError, and an off-curve pair OffCurveError."""
+        x, y = self._element(x), self._element(y)
         P = Point(x, y)
         if not self.contains(P):
             raise OffCurveError(f"point {P} is not on {self}")
@@ -193,8 +177,9 @@ class Curve:
         return self._proven(P.x, -P.y)
 
     def add(self, P: Point, Q: Point) -> Point:
+        doubling = P is Q
         P = self._require(P)
-        Q = self._require(Q)
+        Q = P if doubling else self._require(Q)
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -235,7 +220,8 @@ class Curve:
             roots = _q_cubic_roots(self.A, self.B, self.C)
         else:
             roots = [RatFunc(X.num, self._model_den) for X in _qt_cubic_roots(*self._model)]
-        return [O] + [self._proven(e, e - e) for e in roots]
+        zero = self._element(0)
+        return [O] + [self._proven(e, zero) for e in roots]
 
     # -- x-coordinate decomposition ----------------------------------------
 
@@ -245,9 +231,8 @@ class Curve:
             raise ValueError("x_decompose requires a curve over Q(t)")
         if P.is_infinity:
             raise ValueError("x_decompose requires an affine point")
-        self._require(P)
+        x = self._require(P).x
         self.coeff_polys()  # enforce Z[t] coefficients
-        x = RatFunc._coerce(P.x)
         q = poly_sqrt(x.den)
         if q is None:
             raise ValueError(f"denominator {x.den} of x(P) is not a square in Z[t]")
@@ -263,8 +248,7 @@ class Curve:
         """True when the model is non-isotrivial: j is nonconstant in Q(t)."""
         if self.field != "Q(t)":
             return False
-        j = self.j_invariant()
-        return not RatFunc._coerce(j).is_constant
+        return not self.j_invariant().is_constant
 
     def __str__(self) -> str:
         return f"y^2 = x^3 + ({self.A})*x^2 + ({self.B})*x + ({self.C})"

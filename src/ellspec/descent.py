@@ -64,12 +64,10 @@ def theta(curve: Curve, i: int, P: Point) -> SquareClass:
     roots = curve.split_root_polys()
     if i not in (1, 2, 3):
         raise ValueError("root index must be 1, 2 or 3")
-    curve._require(P)
+    P = curve._require(P)
     if P.is_infinity:
         return SquareClass(IntPoly.const(1))
-    e = roots[i - 1]
-    x = RatFunc._coerce(P.x)
-    delta = x - RatFunc(e)
+    delta = P.x - RatFunc(roots[i - 1])
     if delta.is_zero:
         return SquareClass(squarefree_part(divisibility_bound(curve, i)))
     return SquareClass(square_class_rep(delta))
@@ -93,8 +91,7 @@ def divisibility_bound(curve: Curve, i: int) -> IntPoly:
 
 def _shape_2torsion(curve: Curve):
     """Require the model y^2 = x^3 + A x^2 + B x (C = 0; nonsingular, so B != 0)."""
-    zero = curve.C - curve.C
-    if curve.C != zero:
+    if curve.C:
         raise ValueError("model must have C = 0, i.e. carry the 2-torsion point (0,0)")
     return curve.A, curve.B
 
@@ -102,13 +99,13 @@ def _shape_2torsion(curve: Curve):
 def dual_curve(curve: Curve) -> Curve:
     """The 2-isogenous curve y^2 = x^3 - 2A x^2 + (A^2 - 4B) x."""
     A, B = _shape_2torsion(curve)
-    return Curve(-2 * A, A * A - 4 * B, curve.C - curve.C)
+    return Curve(-2 * A, A * A - 4 * B, curve.C)
 
 
 def isogeny_phi(curve: Curve, P: Point) -> Point:
     """Degree-2 isogeny to the dual curve; kernel {O, (0,0)} maps to O."""
     A, B = _shape_2torsion(curve)
-    curve._require(P)
+    P = curve._require(P)
     if P.is_infinity or not P.x:
         return O
     x, y = P.x, P.y
@@ -119,7 +116,7 @@ def isogeny_psi(curve: Curve, Pbar: Point) -> Point:
     """Dual isogeny back from dual_curve(curve); psi(phi(P)) = 2P."""
     A, B = _shape_2torsion(curve)
     dual = dual_curve(curve)
-    dual._require(Pbar)
+    Pbar = dual._require(Pbar)
     if Pbar.is_infinity or not Pbar.x:
         return O
     x, y = Pbar.x, Pbar.y

@@ -37,7 +37,6 @@ __all__ = [
     "morphism_degree",
     "pairing",
     "degree_obstruction",
-    "small_degree_exclusion",
     "injectivity_report",
     "GeneratorConclusion",
     "generator_certificate",
@@ -120,9 +119,7 @@ def morphism_degree(instance: MestreInstance, T: Point) -> int:
     """deg of x(T)/g as a morphism to the projective line; 0 for torsion."""
     if T.is_infinity:
         return 0
-    instance.curve._require(T)
-    x = RatFunc._coerce(T.x)
-    ratio = x / RatFunc(instance.g)
+    ratio = instance.curve._require(T).x / RatFunc(instance.g)
     if ratio.is_zero:
         return 0
     return ratio.map_degree()
@@ -145,11 +142,6 @@ def degree_obstruction(g: IntPoly) -> bool:
         return False
     _, _, parts = squarefree_decompose(g)
     return all(m == 1 for _, m in parts)
-
-
-def small_degree_exclusion(instance: MestreInstance) -> bool:
-    """Verify the obstruction for this instance's twist polynomial."""
-    return degree_obstruction(instance.g)
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,10 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = self._lift(num)
-        den = self._lift(den)
-        if isinstance(num, tuple):  # (IntPoly numerator, IntPoly denominator)
-            num, extra = num
-        else:
-            extra = IntPoly.const(1)
-        if isinstance(den, tuple):
-            den_num, den_den = den
-        else:
-            den_num, den_den = den, IntPoly.const(1)
+        num, num_den = self._lift(num)
+        den_num, den_den = self._lift(den)
         n = num * den_den
-        d = extra * den_num
+        d = num_den * den_num
         if d.is_zero:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if n.is_zero:
@@ -48,13 +40,14 @@ class RatFunc:
 
     @staticmethod
     def _lift(value):
-        """Coerce int/Fraction/IntPoly/RatFunc into IntPoly or a pair."""
+        """int/Fraction/IntPoly/RatFunc as a (numerator, denominator) pair
+        in Z[t]."""
         if isinstance(value, RatFunc):
             return (value.num, value.den)
         if isinstance(value, IntPoly):
-            return value
+            return (value, IntPoly.const(1))
         if isinstance(value, int):
-            return IntPoly.const(value)
+            return (IntPoly.const(value), IntPoly.const(1))
         if isinstance(value, Fraction):
             return (IntPoly.const(value.numerator), IntPoly.const(value.denominator))
         raise TypeError(f"cannot interpret {value!r} as an element of Q(t)")

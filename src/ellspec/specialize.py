@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .curves import Curve, O, Point
 from .intmath import as_rational
-from .ratfunc import RatFunc
 
 __all__ = [
     "specialize_curve",
@@ -21,13 +20,15 @@ __all__ = [
 
 
 def specialize_curve(curve: Curve, t0) -> Curve:
-    """Evaluate the model at t0; requires a nonsingular specialization."""
+    """Evaluate a model over Q(t) at t0; requires a nonsingular
+    specialization."""
     t0 = as_rational(t0)
-    values = [RatFunc._coerce(v)(t0) for v in (curve.A, curve.B, curve.C)]
+    if curve.field != "Q(t)":
+        raise ValueError("curve is not defined over Q(t)")
+    values = [v(t0) for v in (curve.A, curve.B, curve.C)]
     if any(v is None for v in values):
         raise ValueError(f"a coefficient has a pole at t0={t0}")
-    disc = RatFunc._coerce(curve.disc_cubic)(t0)
-    if not disc:
+    if not curve.disc_cubic(t0):
         raise ValueError(f"discriminant vanishes at t0={t0}: specialization singular")
     return Curve(*values)
 
@@ -44,9 +45,8 @@ def _image(curve: Curve, target: Curve, P: Point, t0: Fraction) -> Point:
     the image of a point on curve lies on target without a check."""
     if P.is_infinity:
         return O
-    curve._require(P)
-    x = RatFunc._coerce(P.x)(t0)
-    y = RatFunc._coerce(P.y)(t0)
+    P = curve._require(P)
+    x, y = P.x(t0), P.y(t0)
     if x is None or y is None:
         return O
     return target._proven(x, y)

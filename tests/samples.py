@@ -1,4 +1,5 @@
-"""Shared random-sample constructions for the test suite.
+"""Shared random-sample constructions for the test suite, and the check
+that a point's coordinates lie in its curve's field.
 
 Curves with known rational points are built directly: either by solving
 the 3x3 linear system that forces the cubic through three chosen points,
@@ -13,6 +14,13 @@ from ellspec.intpoly import IntPoly
 from ellspec.ratfunc import RatFunc
 
 T = IntPoly.monomial(1, 1)
+
+
+def in_field(curve, P) -> bool:
+    """Whether P is O or both its coordinates have the type of the curve's
+    field: Fraction over Q, RatFunc over Q(t)."""
+    field = RatFunc if curve.field == "Q(t)" else Fraction
+    return P.is_infinity or (type(P.x) is field and type(P.y) is field)
 
 
 def curve_through(points):

@@ -1,7 +1,10 @@
 """Every imported name in the package and the test suite is used, every
 module-level private name of the package is read somewhere in the
 package, the tests or the bench outside its own definition, and so is
-every method of a class in the package, as an attribute.
+every method of a class in the package, as an attribute.  Only curves
+and ratfunc take values into Q(t) (a curve fixes the field of its
+coefficients and points once), so no other module of the package reads
+RatFunc's _coerce or _lift.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead private code.  An imported name
@@ -195,3 +198,31 @@ def test_the_method_scan_flags_unread_and_self_read_methods():
     )
     reader = ast.parse("import mod\nmod.Poly.zero().degree\ninv = 3\n")
     assert _dead_methods({"mod": source}, [source, reader]) == ["mod.Poly.inv", "mod.Poly.power"]
+
+
+FIELD_GATES = {"curves", "ratfunc"}
+
+
+def _coercing_modules(program: dict[str, ast.Module]) -> list[str]:
+    """Modules outside FIELD_GATES that read the attribute _coerce or _lift."""
+    return [
+        module
+        for module, tree in program.items()
+        if module not in FIELD_GATES and {"_coerce", "_lift"} & set(_attribute_loads(tree))
+    ]
+
+
+def test_only_curves_and_ratfunc_coerce_into_the_field():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _coercing_modules(program) == []
+
+
+def test_the_coercion_scan_flags_readers_outside_the_gates():
+    program = {
+        "curves": ast.parse("x = RatFunc._coerce(v)\n"),
+        "ratfunc": ast.parse("n, d = self._lift(num)\n"),
+        "specialize": ast.parse("x = RatFunc._coerce(P.x)(t0)\n"),
+        "descent": ast.parse("pair = RatFunc._lift(v)\n"),
+        "mestre": ast.parse("def _coerce(v):\n    return v\nx = _coerce(T.x)\n"),
+    }
+    assert _coercing_modules(program) == ["specialize", "descent"]

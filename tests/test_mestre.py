@@ -126,7 +126,7 @@ def test_degree_parallelogram_on_samples():
 
 
 def test_small_degree_exclusion():
-    assert mestre.small_degree_exclusion(mestre.build(1, 1))
+    assert mestre.degree_obstruction(mestre.build(1, 1).g)
     assert not mestre.degree_obstruction(T**2 + 1)  # wrong degree
     assert not mestre.degree_obstruction(T**2 * (T**12 + 1))  # not squarefree
 
