@@ -99,6 +99,10 @@ class SearchBudget:
     int_bound: int = 10_000
     rat_height: int = 100
 
+    def __post_init__(self):
+        if self.int_bound < 0 or self.rat_height < 0:
+            raise ValueError(f"search bounds must be nonnegative, got {self}")
+
 
 # ---------------------------------------------------------------------------
 # Divisor enumeration.

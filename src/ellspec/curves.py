@@ -259,10 +259,10 @@ class Curve:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Curve):
             return NotImplemented
-        return (self.A, self.B, self.C) == (other.A, other.B, other.C)
+        return (self.field, self.A, self.B, self.C) == (other.field, other.A, other.B, other.C)
 
     def __hash__(self) -> int:
-        return hash((self.A, self.B, self.C))
+        return hash((self.field, self.A, self.B, self.C))
 
 
 # ---------------------------------------------------------------------------

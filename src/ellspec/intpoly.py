@@ -95,7 +95,8 @@ class IntPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        # a constant hashes as the int it equals (zero as 0)
+        return hash(self._c) if len(self._c) > 1 else hash(self.lc)
 
     # -- ring operations ---------------------------------------------
 

@@ -12,9 +12,10 @@ coefficient is reduced in Q(t) once, at the end.  Division is only
 allowed by x-free subexpressions.  An exponent, a power, a product or a
 sum whose degree in t or x, counted before cancellation, would exceed
 MAX_DEGREE is rejected before it is computed, and so are parentheses
-nested deeper than MAX_NESTING.  Curves accept three forms:
-"e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." and the equation
-form "y^2 = x^3 + ...".
+nested deeper than MAX_NESTING.  Each input is read as one token stream,
+so every error offset indexes the whole text.  Curves accept three forms:
+"e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." with each key once,
+and the equation form "y^2 = x^3 + ...".
 """
 
 from __future__ import annotations
@@ -38,27 +39,23 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {position}")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|([-+*/^(),=]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[a-zA-Z])|(?P<op>[-+*/^(),=;])|(?P<bad>\S)|\Z)")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """The one reader of the raw text: (kind, value, offset) per token, then 'end'."""
     tokens = []
     pos = 0
-    while pos < len(text):
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
+        kind = m.lastgroup
+        if kind is None:
+            tokens.append(("end", None, len(text)))
+            return tokens
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)))
         pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
 
 
 class _XPoly:
@@ -113,10 +110,10 @@ def _check_degree(degree: int, pos: int) -> None:
 
 
 class _Parser:
-    def __init__(self, text: str, allow_x: bool = False):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.allow_x = allow_x
+        self.allow_x = False
         self.depth = 0
 
     def peek(self):
@@ -127,10 +124,18 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
+    def accept(self, *expected) -> bool:
+        """Consume the next tokens when their (kind, value) pairs are expected."""
+        n = len(expected)
+        if [tok[:2] for tok in self.tokens[self.i : self.i + n]] != list(expected):
+            return False
+        self.i += n
+        return True
+
+    def expect_op(self, *ops: str):
         kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if kind != "op" or value not in ops:
+            raise ParseError(f"expected {' or '.join(map(repr, ops))}", pos)
         return self.advance()
 
     def expect_end(self) -> None:
@@ -139,6 +144,16 @@ class _Parser:
             raise ParseError("trailing input", pos)
 
     # grammar ---------------------------------------------------------
+
+    def parse_tuple(self, n: int) -> list[RatFunc]:
+        """'(' expr (',' expr)* ')' with exactly n entries, each reduced."""
+        self.expect_op("(")
+        values = [self.parse_expr()]
+        for _ in range(n - 1):
+            self.expect_op(",")
+            values.append(self.parse_expr())
+        self.expect_op(")")
+        return [v.coeff(0) for v in values]
 
     def parse_expr(self) -> _XPoly:
         value = self.parse_term()
@@ -233,57 +248,42 @@ def _parse_integral(text: str) -> RatFunc:
 
 def parse_curve(text: str) -> Curve:
     """Parse a curve over Q(t) in e-list, coefficient, or equation form."""
-    stripped = text.strip()
-    compact = stripped.replace(" ", "")
-    if compact.startswith("e="):
-        parser = _Parser(stripped[stripped.index("=") + 1 :])
-        parser.expect_op("(")
-        roots = [parser.parse_expr()]
-        while parser.peek()[:2] == ("op", ","):
-            parser.advance()
-            roots.append(parser.parse_expr())
-        parser.expect_op(")")
+    parser = _Parser(text)
+    if parser.accept(("name", "e"), ("op", "=")):
+        roots = parser.parse_tuple(3)
         parser.expect_end()
-        if len(roots) != 3:
-            raise ParseError("split form needs exactly three roots", 0)
-        return Curve.from_roots(*(r.coeff(0) for r in roots))
-    if compact.startswith("y^2="):
-        rhs_text = stripped.split("=", 1)[1]
-        parser = _Parser(rhs_text, allow_x=True)
+        return Curve.from_roots(*roots)
+    if parser.accept(("name", "y"), ("op", "^"), ("int", 2), ("op", "=")):
+        parser.allow_x = True
+        start = parser.peek()[2]
         rhs = parser.parse_expr()
         parser.expect_end()
         if len(rhs.nums) != 4 or rhs.nums[3] != rhs.den:
-            raise ParseError("right-hand side must be a monic cubic in x", 0)
+            raise ParseError("right-hand side must be a monic cubic in x", start)
         return Curve(rhs.coeff(2), rhs.coeff(1), rhs.coeff(0))
-    if compact.startswith("A="):
-        parts = re.split(r"[;,]", stripped)
-        values = {}
-        for part in parts:
-            if "=" not in part:
-                raise ParseError(f"expected K=expr in {part.strip()!r}", 0)
-            key, expr = part.split("=", 1)
-            key = key.strip()
-            if key not in ("A", "B", "C"):
-                raise ParseError(f"unknown coefficient {key!r}", 0)
-            values[key] = parse_ratfunc(expr)
-        if set(values) != {"A", "B", "C"}:
-            raise ParseError("coefficient form needs A, B and C", 0)
-        return Curve(values["A"], values["B"], values["C"])
-    raise ParseError(
-        "curve must start with 'e=', 'A=' or 'y^2='", 0
-    )
+    kind, key, pos = parser.peek()
+    if (kind, key) != ("name", "A"):
+        raise ParseError("curve must start with 'e=', 'A=' or 'y^2='", pos)
+    values = {}
+    while True:
+        kind, key, pos = parser.advance()
+        if kind != "name" or key not in ("A", "B", "C"):
+            raise ParseError("expected a coefficient 'A', 'B' or 'C'", pos)
+        if key in values:
+            raise ParseError(f"coefficient {key!r} given twice", pos)
+        parser.expect_op("=")
+        values[key] = parser.parse_expr().coeff(0)
+        if parser.peek()[0] == "end":
+            break
+        parser.expect_op(";", ",")
+    if len(values) != 3:
+        raise ParseError("coefficient form needs A, B and C", parser.peek()[2])
+    return Curve(values["A"], values["B"], values["C"])
 
 
 def parse_point(text: str) -> Point:
     """Parse a point: 'O' or '(x, y)' with Q(t) coordinates."""
-    stripped = text.strip()
-    if stripped == "O":
-        return O
-    parser = _Parser(stripped)
-    parser.expect_op("(")
-    x = parser.parse_expr()
-    parser.expect_op(",")
-    y = parser.parse_expr()
-    parser.expect_op(")")
+    parser = _Parser(text)
+    point = O if parser.accept(("name", "O")) else Point(*parser.parse_tuple(2))
     parser.expect_end()
-    return Point(x.coeff(0), y.coeff(0))
+    return point

@@ -140,6 +140,11 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # the hash of the IntPoly, int or Fraction it equals, if any
+        if self.den == IntPoly.const(1):
+            return hash(self.num)
+        if self.is_constant:
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     # -- the degree-as-height map ----------------------------------------

@@ -167,6 +167,23 @@ def test_find_t0_budget_exhausted(capsys):
     assert code == 1 and "no t0" in err
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--rat-height"])
+def test_a_negative_search_bound_exits_2(capsys, flag):
+    code, out, err = run(
+        capsys, "find-t0", "--condition", "scriptA",
+        "--curve", "y^2 = x^3 + t^2*x^2 - x", flag, "-3",
+    )
+    assert code == 2 and out == "" and "nonnegative" in err
+
+
+def test_a_repeated_coefficient_exits_2(capsys):
+    code, out, err = run(
+        capsys, "check", "--condition", "A1B", "--curve", "A=t; B=1; A=2; C=3", "--t0", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: coefficient 'A' given twice at offset 10\n"
+
+
 def test_specialize(capsys):
     code, out, _ = run(
         capsys, "specialize", "--curve", "y^2 = x^3 + t^2*x^2 - x",

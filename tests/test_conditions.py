@@ -320,6 +320,14 @@ def test_find_t0_budget_exhaustion():
         find_t0(curve, "scriptA", SearchBudget(int_bound=1, rat_height=1))
 
 
+@pytest.mark.parametrize("bounds", [{"int_bound": -3}, {"rat_height": -1}])
+def test_negative_search_bounds_are_rejected(bounds):
+    # a negative int_bound would skip every integer but 0 without a word
+    with pytest.raises(ValueError, match="nonnegative"):
+        SearchBudget(**bounds)
+    assert list(t0_candidates(SearchBudget(int_bound=0, rat_height=0))) == [0]
+
+
 # -- certificates -------------------------------------------------------------
 
 

@@ -310,3 +310,19 @@ def test_j_invariant_and_isotriviality():
     # j = 1728 exactly when A = C = 0
     curve = Curve(Fraction(0), Fraction(2), Fraction(0))
     assert curve.j_invariant() == 1728
+
+
+def test_equal_values_hash_equal():
+    pairs = [
+        (Curve(0, -1, 1), Curve(RatFunc(0), RatFunc(-1), RatFunc(1))),  # Q and Q(t)
+        (Point(Fraction(1), Fraction(1)), Point(RatFunc(1), RatFunc(1))),
+        (IntPoly.const(3), 3),
+        (IntPoly(), 0),
+        (RatFunc(1, 2), Fraction(1, 2)),
+        (RatFunc(-4), -4),
+        (RatFunc(T), T),
+        (RatFunc(T, 2), RatFunc(IntPoly([0, 3]), 6)),
+    ]
+    assert [a == b for a, b in pairs] == [False] + [True] * 7
+    for a, b in pairs:
+        assert (a == b) == (len({a, b}) == 1), (a, b)

@@ -4,7 +4,8 @@ package, the tests or the bench outside its own definition, and so is
 every method of a class in the package, as an attribute.  Only curves
 and ratfunc take values into Q(t) (a curve fixes the field of its
 coefficients and points once), so no other module of the package reads
-RatFunc's _coerce or _lift.
+RatFunc's _coerce or _lift.  In parsing, only _tokenize reads the raw
+text: no other function slices it with string methods or re.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead private code.  An imported name
@@ -226,3 +227,65 @@ def test_the_coercion_scan_flags_readers_outside_the_gates():
         "mestre": ast.parse("def _coerce(v):\n    return v\nx = _coerce(T.x)\n"),
     }
     assert _coercing_modules(program) == ["specialize", "descent"]
+
+
+STRING_SLICERS = {"split", "rsplit", "index", "find", "startswith", "replace"}
+
+
+def _re_names(tree: ast.Module) -> set[str]:
+    """re, the names imported from it and the module-level names bound to
+    values built from them, such as a compiled pattern."""
+    names = {"re"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "re":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            if any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node.value)):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _text_slicers(tree: ast.Module) -> list[str]:
+    """Functions other than _tokenize that call a string-slicing method or
+    read anything from re."""
+    regex = _re_names(tree)
+
+    def slices(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return node.func.attr in STRING_SLICERS
+        return isinstance(node, ast.Name) and node.id in regex
+
+    return [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and func.name != "_tokenize"
+        and any(map(slices, ast.walk(func)))
+    ]
+
+
+def test_only_the_tokenizer_reads_the_text():
+    tree = ast.parse((ROOT / "src/ellspec/parsing.py").read_text(encoding="utf-8"))
+    assert _text_slicers(tree) == []
+
+
+def test_the_slicing_scan_flags_every_reader_but_the_tokenizer():
+    source = ast.parse(
+        "import re\n"
+        "from re import fullmatch as whole\n"
+        "_PAT = re.compile('a')\n"
+        "def _tokenize(text):\n"
+        "    return _PAT.match(text) or text.split()\n"
+        "def parse_curve(text):\n"
+        "    return text.replace(' ', '').startswith('e=')\n"
+        "def parse_pairs(text):\n"
+        "    return re.split('[;,]', text)\n"
+        "def parse_key(text):\n"
+        "    return _PAT.search(text)\n"
+        "def parse_all(text):\n"
+        "    return whole('a', text)\n"
+        "class Parser:\n"
+        "    def peek(self):\n"
+        "        return self.tokens[self.i : self.i + 2]\n"
+    )
+    assert _text_slicers(source) == ["parse_curve", "parse_pairs", "parse_key", "parse_all"]

@@ -2,7 +2,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ellspec import parsing
 from ellspec.curves import Curve, O
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import (
@@ -150,6 +152,83 @@ def test_parse_curve_coefficient_form():
         parse_curve("A=1; B=2")
     with pytest.raises(ParseError):
         parse_curve("x^3 + 1")
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        # a repeated coefficient, at its key
+        ("A=t; B=1; A=2; C=3", 10, "coefficient 'A' given twice"),
+        ("A=t, B=1, C=3, B=2", 15, "coefficient 'B' given twice"),
+        ("A=t; C=1; B=2; C=3", 15, "coefficient 'C' given twice"),
+        ("A=t; B=t^2+1 C=3", 13, "expected ';' or ','"),
+        ("A=1; B=2", 8, "needs A, B and C"),
+        ("A=1; D=2; C=3", 5, "expected a coefficient"),
+        ("y^2 = x^3 + t*x + (", 19, "expected a number"),
+        ("y^2 =  2*x^3 + 1", 7, "monic cubic"),
+        ("e=(0, t)", 7, "expected ','"),
+        ("  x^3 + 1", 2, "must start with"),
+        ("e=(x, t, 1)", 3, "unexpected symbol 'x'"),  # x only after y^2 =
+    ],
+)
+def test_curve_errors_point_into_the_whole_text(text, position, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_curve(text)
+    assert exc.value.position == position
+
+
+def test_whitespace_may_separate_any_two_tokens():
+    assert parse_curve("e\t=\n(0,\tt , 7 * t+1)\n") == parse_curve("e=(0, t, 7*t+1)")
+    assert parse_curve("y\n^ 2\t= x^3 - x") == parse_curve("y^2 = x^3 - x")
+    assert parse_curve(" A\t= t ;\nB=1 ,C =0") == parse_curve("A=t; B=1; C=0")
+    assert parse_point("\tO\n") == O
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_curve, "e=(0, t, 1)"),
+        (parse_curve, "y^2 = x^3 - x"),
+        (parse_curve, "A=t; B=1; C=0"),
+        (parse_point, "(1, t)"),
+        (parse_point, " O"),
+    ],
+)
+def test_one_parser_reads_the_whole_text(monkeypatch, parse, text):
+    read = []
+
+    class Recording(parsing._Parser):
+        def __init__(self, text):
+            read.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(parsing, "_Parser", Recording)
+    parse(text)
+    assert read == [text]
+
+
+_VALID = [
+    (parse_curve, "e=(0, t, 7*t+1)"),
+    (parse_curve, "A=t^2; B=-1, C=(t+1)/2"),
+    (parse_curve, " y^2 =\tx^3 + t^2*x^2 - 12*x "),
+    (parse_point, "( (t^2-1)/(t+1) , -3/4 )"),
+    (parse_poly, "  -(t+1)^3 + 12*t"),
+]
+# a valid text, its parser and an index at which to insert a '$'
+_insertions = st.sampled_from(_VALID).flatmap(
+    lambda case: st.tuples(*map(st.just, case), st.integers(0, len(case[1])))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_insertions)
+@example((parse_curve, "e=(0, t, 7*t+1)", 13))
+@example((parse_poly, "t 1", 2))  # after a space
+def test_a_bad_character_is_reported_at_its_index(insertion):
+    parse, text, index = insertion
+    with pytest.raises(ParseError, match=r"unexpected character '\$'") as exc:
+        parse(text[:index] + "$" + text[index:])
+    assert exc.value.position == index
 
 
 def test_parse_point():
