@@ -102,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="rational parameter b (ab != 0)")
     p.add_argument("--t0", help="specialization value for the injectivity step")
     p.add_argument("--specialized-rank", type=int,
-                   help="declared rank of the specialized curve over Q")
-    p.add_argument("--rank-source", default="unspecified",
-                   help="provenance of the declared rank")
+                   help="declared rank of the specialized curve over Q (needs --t0)")
+    p.add_argument("--rank-source",
+                   help="provenance of the declared rank (needs --specialized-rank)")
     p.add_argument("--injectivity-source",
-                   help="provenance of an externally asserted injectivity at t0")
+                   help="provenance of an externally asserted injectivity at t0 "
+                   "(needs --specialized-rank)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify-paper",
@@ -197,16 +198,21 @@ def _cmd_specialize(args) -> int:
 
 
 def _cmd_mestre(args) -> int:
+    if args.specialized_rank is None:
+        if args.rank_source is not None or args.injectivity_source is not None:
+            raise UsageError("--rank-source and --injectivity-source need --specialized-rank")
+    elif args.t0 is None:
+        raise UsageError("--specialized-rank needs --t0")
     a = _t0_arg(args.a)
     b = _t0_arg(args.b)
     instance = mestre.build(a, b)
 
-    if args.t0 is not None and args.specialized_rank is not None:
+    if args.specialized_rank is not None:
         conclusion = mestre.generator_certificate(
             instance,
             _t0_arg(args.t0),
             args.specialized_rank,
-            args.rank_source,
+            "unspecified" if args.rank_source is None else args.rank_source,
             injectivity_source=args.injectivity_source,
         )
         if args.json:

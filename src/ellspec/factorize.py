@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .intmath import factor_int, is_probable_prime
-from .intpoly import IntPoly, squarefree_decompose
+from .intpoly import IntPoly, _mul_coeffs, _trim, squarefree_decompose
 
 __all__ = ["Factorization", "factor", "is_irreducible", "rational_roots"]
 
@@ -29,14 +29,8 @@ __all__ = ["Factorization", "factor", "is_irreducible", "rational_roots"]
 # ---------------------------------------------------------------------------
 
 
-def _gf_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _gf_from_poly(f: IntPoly, m: int) -> list[int]:
-    return _gf_trim([c % m for c in f.coeffs])
+    return _trim([c % m for c in f.coeffs])
 
 
 def _gf_to_poly_symmetric(f: list[int], m: int) -> IntPoly:
@@ -45,22 +39,15 @@ def _gf_to_poly_symmetric(f: list[int], m: int) -> IntPoly:
 
 
 def _gf_mul(f: list[int], g: list[int], m: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _gf_trim([c % m for c in out])
+    return _trim([c % m for c in _mul_coeffs(f, g)])
 
 
 def _gf_add(f: list[int], g: list[int], m: int) -> list[int]:
-    return _gf_trim([(a + b) % m for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+    return _trim([(a + b) % m for a, b in itertools.zip_longest(f, g, fillvalue=0)])
 
 
 def _gf_sub(f: list[int], g: list[int], m: int) -> list[int]:
-    return _gf_trim([(a - b) % m for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+    return _trim([(a - b) % m for a, b in itertools.zip_longest(f, g, fillvalue=0)])
 
 
 def _gf_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -70,14 +57,14 @@ def _gf_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]
     dg = len(g) - 1
     inv = pow(g[-1], -1, m)
     q = [0] * max(len(f) - dg, 0)
-    while len(_gf_trim(r)) - 1 >= dg:
+    while len(_trim(r)) - 1 >= dg:
         dr = len(r) - 1
         c = r[-1] * inv % m
         q[dr - dg] = c
         for i in range(len(g)):
             r[dr - dg + i] = (r[dr - dg + i] - c * g[i]) % m
-        _gf_trim(r)
-    return _gf_trim(q), r
+        _trim(r)
+    return _trim(q), r
 
 
 def _gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
@@ -126,7 +113,7 @@ def _gf_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
 
 
 def _gf_derivative(f: list[int], p: int) -> list[int]:
-    return _gf_trim([i * f[i] % p for i in range(1, len(f))])
+    return _trim([i * f[i] % p for i in range(1, len(f))])
 
 
 def _gf_is_squarefree(f: list[int], p: int) -> bool:
@@ -164,7 +151,7 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
     if n == d:
         return [f]
     while True:
-        a = _gf_trim([rng.randrange(p) for _ in range(n)])
+        a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) - 1 < 1:
             continue
         g = _gf_gcd(a, f, p)

@@ -29,9 +29,7 @@ class IntPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
+        c = _trim(list(coeffs))
         for x in c:
             if not isinstance(x, int):
                 raise TypeError(f"integer coefficients required, got {x!r}")
@@ -89,7 +87,7 @@ class IntPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = IntPoly.const(other)
+            return self._c == ((other,) if other else ())
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self._c == other._c
@@ -125,15 +123,7 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if not isinstance(other, (IntPoly, int)):
             return NotImplemented
-        other = IntPoly.coerce(other)
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in enumerate(other._c):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_mul_coeffs(self._c, other._c if isinstance(other, IntPoly) else (other,)))
 
     __rmul__ = __mul__
 
@@ -166,8 +156,7 @@ class IntPoly:
 
     def primitive_part(self) -> "IntPoly":
         """self / content; the sign stays on the primitive part."""
-        c = self.content()
-        return IntPoly(x // c for x in self._c)
+        return self.content_and_primitive()[1]
 
     def content_and_primitive(self) -> tuple[int, "IntPoly"]:
         c = self.content()
@@ -176,31 +165,10 @@ class IntPoly:
     # -- division -------------------------------------------------------
 
     def pseudo_divmod(self, d: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Pseudo-division: lc(d)^(deg r gap) * self = q*d + r."""
-        if d.is_zero:
-            raise ZeroDivisionError("pseudo-division by zero")
-        r = list(self._c)
-        dd = d.degree
-        dl = d.lc
-        if self.degree < dd:
-            return IntPoly(), self
-        q = [0] * (self.degree - dd + 1)
-        for _ in range(self.degree - dd + 1):
-            deg_r = len(r) - 1
-            while r and r[-1] == 0:
-                r.pop()
-                deg_r -= 1
-            if deg_r < dd:
-                break
-            coef = r[-1]
-            for i in range(len(r)):
-                r[i] *= dl
-            for i in range(len(q)):
-                q[i] *= dl
-            q[deg_r - dd] += coef
-            for i, dc in enumerate(d._c):
-                r[deg_r - dd + i] -= coef * dc
-        return IntPoly(q), IntPoly(r)
+        """q, r with lc(d)^(delta+1) * self = q*d + r, deg r < deg d and
+        delta = max(deg self - deg d, -1): by definition the exact division
+        of the scaled self by d (Knuth, TAOCP vol. 2, 4.6.1)."""
+        return (self * d.lc ** max(self.degree - d.degree + 1, 0)).divmod_exact(d)
 
     def divmod_exact(self, d: "IntPoly") -> tuple["IntPoly", "IntPoly"] | None:
         """Quotient and remainder when division stays in Z[t]; None otherwise."""
@@ -211,9 +179,7 @@ class IntPoly:
         dd = d.degree
         dl = d.lc
         while True:
-            while r and r[-1] == 0:
-                r.pop()
-            deg_r = len(r) - 1
+            deg_r = len(_trim(r)) - 1
             if deg_r < dd:
                 break
             if r[-1] % dl != 0:
@@ -265,6 +231,24 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self})"
+
+
+def _trim(c: list) -> list:
+    """Drop the trailing zeros of a coefficient list in place; returns it."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _mul_coeffs(f, g, zero=0) -> list:
+    """Schoolbook product of two coefficient sequences, lowest degree
+    first, over any ring whose zero is `zero`; the result is not trimmed."""
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 def _power(base, e: int, one):
@@ -384,7 +368,8 @@ def _from_balanced_digits(n: int, base: int) -> IntPoly:
 
 def _prs_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly:
     """Gcd of primitive pa, pb by the primitive Euclidean algorithm;
-    positive leading coefficient."""
+    positive leading coefficient.  Keeping only the primitive part of
+    each pseudo-remainder drops the powers of lc(pb) it carries."""
     if pa.degree < pb.degree:
         pa, pb = pb, pa
     while not pb.is_zero:

@@ -21,9 +21,10 @@ and the equation form "y^2 = x^3 + ...".
 from __future__ import annotations
 
 import re
+import sys
 
 from .curves import Curve, O, Point
-from .intpoly import IntPoly, _power
+from .intpoly import IntPoly, _mul_coeffs, _power, _trim
 from .ratfunc import RatFunc
 
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
@@ -39,11 +40,14 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {position}")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[a-zA-Z])|(?P<op>[-+*/^(),=;])|(?P<bad>\S)|\Z)")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[a-zA-Z])|(?P<op>[-+*/^(),=;])|(?P<bad>\S)|\Z)", re.ASCII
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """The one reader of the raw text: (kind, value, offset) per token, then 'end'."""
+    """The one reader of the raw text: (kind, value, offset) per token, then
+    'end'.  ASCII only; a digit run over Python's int conversion limit is an error."""
     tokens = []
     pos = 0
     while True:
@@ -54,6 +58,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             return tokens
         if kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        if kind == "int" and 0 < (limit := sys.get_int_max_str_digits()) < len(m[kind]):
+            raise ParseError(f"integer longer than {limit} digits", m.start(kind))
         tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)))
         pos = m.end()
 
@@ -65,10 +71,7 @@ class _XPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, nums, den=_ONE):
-        n = list(nums)
-        while n and n[-1].is_zero:
-            n.pop()
-        self.nums = n
+        self.nums = _trim(list(nums))
         self.den = den
 
     def coeff(self, i: int) -> RatFunc:
@@ -94,11 +97,7 @@ class _XPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        out = [IntPoly()] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums):
-                out[i + j] = out[i + j] + a * b
-        return _XPoly(out, self.den * other.den)
+        return _XPoly(_mul_coeffs(self.nums, other.nums, IntPoly()), self.den * other.den)
 
     def __pow__(self, e: int):
         return _power(self, e, _XPoly([_ONE]))

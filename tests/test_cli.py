@@ -184,6 +184,12 @@ def test_a_repeated_coefficient_exits_2(capsys):
     assert err == "error: coefficient 'A' given twice at offset 10\n"
 
 
+def test_a_digit_run_over_the_int_limit_exits_2(capsys):
+    code, out, err = run(capsys, "factor", "t + " + "1" * 5000)
+    assert code == 2 and out == ""
+    assert err == f"error: integer longer than {sys.get_int_max_str_digits()} digits at offset 4\n"
+
+
 def test_specialize(capsys):
     code, out, _ = run(
         capsys, "specialize", "--curve", "y^2 = x^3 + t^2*x^2 - x",
@@ -317,6 +323,21 @@ def test_mestre_generator_conclusion_json(capsys):
     doc = json.loads(out)
     assert doc["injectivity_mode"] == "certified"
     assert doc["rank_source"] == "external table"
+
+
+def test_mestre_specialized_rank_needs_t0(capsys):
+    code, out, err = run(
+        capsys, "mestre", "--a", "2", "--b", "12", "--specialized-rank", "2", "--rank-source", "x",
+    )
+    assert code == 2 and out == ""
+    assert "--specialized-rank needs --t0" in err
+
+
+@pytest.mark.parametrize("flag", ["--rank-source", "--injectivity-source"])
+def test_mestre_sources_need_a_specialized_rank(capsys, flag):
+    code, out, err = run(capsys, "mestre", "--a", "2", "--b", "12", "--t0", "4", flag, "x")
+    assert code == 2 and out == ""
+    assert "need --specialized-rank" in err
 
 
 def test_verify_paper(capsys):

@@ -1,5 +1,7 @@
 """poly_gcd against sympy's gcd in Z[t], used here only as an oracle."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -41,6 +43,15 @@ def test_gcd_matches_sympy(g, a, b, sa, sb):
     f = sa * g * a
     h = sb * g * b
     assert poly_gcd(f, h) == sympy_gcd(f, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(common, cofactor, cofactor, scale, scale)
+def test_prs_gcd_matches_sympy(g, a, b, sa, sb):
+    f = sa * g * a
+    h = sb * g * b
+    with patch.object(intpoly, "_HEU_GCD_ROUNDS", 0):
+        assert poly_gcd(f, h) == sympy_gcd(f, h)
 
 
 @pytest.mark.parametrize(

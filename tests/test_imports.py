@@ -5,7 +5,9 @@ every method of a class in the package, as an attribute.  Only curves
 and ratfunc take values into Q(t) (a curve fixes the field of its
 coefficients and points once), so no other module of the package reads
 RatFunc's _coerce or _lift.  In parsing, only _tokenize reads the raw
-text: no other function slices it with string methods or re.
+text: no other function slices it with string methods or re.  The
+package has one schoolbook product loop, intpoly._mul_coeffs, and one
+trailing-zero loop, intpoly._trim.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead private code.  An imported name
@@ -289,3 +291,129 @@ def test_the_slicing_scan_flags_every_reader_but_the_tokenizer():
         "        return self.tokens[self.i : self.i + 2]\n"
     )
     assert _text_slicers(source) == ["parse_curve", "parse_pairs", "parse_key", "parse_all"]
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function in node, methods included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _loop_names(loop: ast.For) -> set[str]:
+    return {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+
+
+def _assigned_index_sums(node: ast.AST) -> set[frozenset[str]]:
+    """{i, j} for each x[i + j] that node assigns to."""
+    sums = set()
+    for stmt in ast.walk(node):
+        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
+            for target in getattr(stmt, "targets", [getattr(stmt, "target", None)]):
+                index = getattr(target, "slice", None)
+                if (
+                    isinstance(index, ast.BinOp)
+                    and isinstance(index.op, ast.Add)
+                    and isinstance(index.left, ast.Name)
+                    and isinstance(index.right, ast.Name)
+                ):
+                    sums.add(frozenset({index.left.id, index.right.id}))
+    return sums
+
+
+def _is_product_loop(outer: ast.AST) -> bool:
+    """A for loop over i holding a for loop over j that assigns to x[i + j]."""
+    if not isinstance(outer, ast.For):
+        return False
+    return any(
+        {i, j} in _assigned_index_sums(inner)
+        for inner in ast.walk(outer)
+        if isinstance(inner, ast.For) and inner is not outer
+        for i in _loop_names(outer)
+        for j in _loop_names(inner)
+    )
+
+
+def _is_trim_loop(node: ast.AST) -> bool:
+    """A while loop that tests an element [-1] and pops."""
+    if not isinstance(node, ast.While):
+        return False
+    reads_last = any(
+        isinstance(n, ast.Subscript)
+        and isinstance(n.slice, ast.UnaryOp)
+        and isinstance(n.slice.op, ast.USub)
+        and isinstance(n.slice.operand, ast.Constant)
+        and n.slice.operand.value == 1
+        for n in ast.walk(node.test)
+    )
+    pops = any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "pop"
+        for stmt in node.body
+        for n in ast.walk(stmt)
+    )
+    return reads_last and pops
+
+
+def _kernel_loops(program: dict[str, ast.Module], is_loop) -> list[str]:
+    """module.function for every function of the program holding such a loop."""
+    return [
+        f"{module}.{name}"
+        for module, tree in program.items()
+        for name, func in _functions(tree)
+        if any(map(is_loop, ast.walk(func)))
+    ]
+
+
+def test_one_product_loop_and_one_trim_loop():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _kernel_loops(program, _is_product_loop) == ["intpoly._mul_coeffs"]
+    assert _kernel_loops(program, _is_trim_loop) == ["intpoly._trim"]
+
+
+def test_the_kernel_scan_flags_copied_product_and_trim_loops():
+    factorize = ast.parse(
+        "def _gf_trim(f):\n"
+        "    while f and f[-1] == 0:\n"
+        "        f.pop()\n"
+        "    return f\n"
+        "def _gf_mul(f, g, m):\n"
+        "    if not f or not g:\n"
+        "        return []\n"
+        "    out = [0] * (len(f) + len(g) - 1)\n"
+        "    for i, a in enumerate(f):\n"
+        "        if a:\n"
+        "            for j, b in enumerate(g):\n"
+        "                out[i + j] += a * b\n"
+        "    return _gf_trim([c % m for c in out])\n"
+        "def _gf_sub_step(r, g, c, dr, dg):\n"
+        "    for _ in range(dr):\n"
+        "        for i in range(len(g)):\n"
+        "            r[dr - dg + i] -= c * g[i]\n"
+    )
+    parsing = ast.parse(
+        "class _XPoly:\n"
+        "    def __init__(self, nums, den=_ONE):\n"
+        "        n = list(nums)\n"
+        "        while n and n[-1].is_zero:\n"
+        "            n.pop()\n"
+        "        self.nums = n\n"
+        "    def __mul__(self, other):\n"
+        "        out = [IntPoly()] * (len(self.nums) + len(other.nums) - 1)\n"
+        "        for i, a in enumerate(self.nums):\n"
+        "            for j, b in enumerate(other.nums):\n"
+        "                out[i + j] = out[i + j] + a * b\n"
+        "        return _XPoly(out, self.den * other.den)\n"
+    )
+    intmath = ast.parse(
+        "def walk(stack):\n"
+        "    while stack:\n"
+        "        m = stack.pop()\n"
+    )
+    program = {"factorize": factorize, "parsing": parsing, "intmath": intmath}
+    assert _kernel_loops(program, _is_product_loop) == ["factorize._gf_mul", "parsing._XPoly.__mul__"]
+    assert _kernel_loops(program, _is_trim_loop) == ["factorize._gf_trim", "parsing._XPoly.__init__"]

@@ -26,6 +26,13 @@ def test_construction_normalizes_trailing_zeros():
     assert IntPoly([0, 0, 3]).degree == 2
 
 
+@pytest.mark.parametrize("coeffs", [[None], [""], [1, None]])
+def test_non_integer_coefficients_are_rejected(coeffs):
+    # a trailing None or "" must not be dropped as if it were a zero
+    with pytest.raises(TypeError):
+        IntPoly(coeffs)
+
+
 def test_ring_basics():
     p = 2 * T**2 - 3 * T + 1  # (2t - 1)(t - 1)
     q = T - 1
@@ -68,6 +75,30 @@ def test_divmod_exact_recomposes(p, d):
         q, r = qr
         assert q * d + r == p
         assert r.is_zero or r.degree < d.degree
+
+
+@pytest.mark.parametrize(
+    "a, d",
+    [
+        (IntPoly([1, 2, 3, 4]), IntPoly([1, -3])),  # negative lc, delta = 2
+        (IntPoly([0, 1, 0, 1]), IntPoly([2, 0, 2])),  # remainder 0 after one step
+        (IntPoly([1, 2, 3]), IntPoly([4, 5, 6])),  # delta = 0
+        (IntPoly([1, 2]), IntPoly([-1, 0, 3])),  # deg a < deg d
+        (IntPoly(), IntPoly([2, 3])),
+    ],
+)
+def test_pseudo_divmod_identity(a, d):
+    q, r = a.pseudo_divmod(d)
+    scale = d.lc ** max(a.degree - d.degree + 1, 0)
+    assert scale * a == q * d + r
+    assert r.degree < d.degree
+
+
+@given(small_polys, nonzero_polys)
+def test_pseudo_divmod_recomposes(a, d):
+    q, r = a.pseudo_divmod(d)
+    assert d.lc ** max(a.degree - d.degree + 1, 0) * a == q * d + r
+    assert r.degree < d.degree
 
 
 @given(nonzero_polys, nonzero_polys)

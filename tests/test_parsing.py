@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -229,6 +230,25 @@ def test_a_bad_character_is_reported_at_its_index(insertion):
     with pytest.raises(ParseError, match=r"unexpected character '\$'") as exc:
         parse(text[:index] + "$" + text[index:])
     assert exc.value.position == index
+
+
+@pytest.mark.parametrize(
+    "text, character",
+    [("t + \u0663", "\u0663"), ("\uff12*t", "\uff12"), ("t +\u00a01", "\xa0")],
+)
+def test_only_ascii_digits_and_spaces_are_read(text, character):
+    # an Arabic-Indic three, a fullwidth two, a no-break space
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_poly(text)
+    assert exc.value.position == text.index(character)
+
+
+def test_a_digit_run_over_the_int_limit_is_reported_at_its_offset():
+    limit = sys.get_int_max_str_digits()
+    assert parse_poly("t + " + "1" * limit) == T + int("1" * limit)
+    with pytest.raises(ParseError, match=f"longer than {limit} digits") as exc:
+        parse_poly("t + " + "1" * (limit + 1))
+    assert exc.value.position == 4
 
 
 def test_parse_point():
