@@ -59,8 +59,9 @@ def _curve_arg(value: str):
 def _t0_arg(value: str) -> Fraction:
     try:
         return parse_rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid rational {value!r}") from exc
+    except ValueError as exc:
+        shown = value if len(value) <= 40 else f"{value[:20]}...{value[-10:]}"
+        raise UsageError(f"invalid rational {shown!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -131,9 +132,7 @@ def _divisor_products(facs) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tup
     out = []
     for r in range(1, len(polys) + 1):
         for idx in itertools.combinations(range(len(polys)), r):
-            base = IntPoly.const(1)
-            for i in idx:
-                base = base * polys[i]
+            base = math.prod((polys[i] for i in idx), start=IntPoly.const(1))
             for s in range(len(primes) + 1):
                 for prime_subset in itertools.combinations(primes, s):
                     c = math.prod(prime_subset)
@@ -373,14 +372,21 @@ def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
             doc = json.loads(doc)
         except RecursionError:
             raise ValueError("certificate is nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # int() of a number over Python's conversion limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"certificate holds an integer longer than {limit} digits") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != _SCHEMA:
         raise ValueError(f"unsupported certificate schema {schema!r}")
     if not isinstance(doc.get("t0"), str):
         raise ValueError("certificate t0 must be a string")
-    fresh = check_condition(
-        _curve_from_json(doc.get("curve")), doc.get("condition"), parse_rational(doc["t0"])
-    )
+    try:
+        t0 = parse_rational(doc["t0"])
+    except ValueError as exc:
+        raise ValueError(f"certificate t0: {exc}") from None
+    fresh = check_condition(_curve_from_json(doc.get("curve")), doc.get("condition"), t0)
     expected = _certificate_doc(fresh)
     missing = sorted(set(expected) - set(doc))
     if missing:

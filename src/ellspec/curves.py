@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .factorize import _mignotte_bound
 from .intmath import as_rational
-from .intpoly import IntPoly, _from_balanced_digits, _horner, cubic_discriminant, poly_sqrt
+from .intpoly import IntPoly, _from_balanced_digits, _horner, _power, cubic_discriminant, poly_sqrt
 from .ratfunc import RatFunc
 
 __all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError", "XDecomposition"]
@@ -202,15 +202,7 @@ class Curve:
         P = self._require(P)
         if m < 0:
             m, P = -m, self.neg(P)
-        result = O
-        base = P
-        while m:
-            if m & 1:
-                result = self.add(result, base)
-            m >>= 1
-            if m:
-                base = self.add(base, base)
-        return result
+        return _power(P, m, O, self.add)
 
     # -- torsion ---------------------------------------------------------
 

@@ -113,14 +113,9 @@ def isogeny_phi(curve: Curve, P: Point) -> Point:
 
 
 def isogeny_psi(curve: Curve, Pbar: Point) -> Point:
-    """Dual isogeny back from dual_curve(curve); psi(phi(P)) = 2P."""
-    A, B = _shape_2torsion(curve)
-    dual = dual_curve(curve)
-    Pbar = dual._require(Pbar)
-    if Pbar.is_infinity or not Pbar.x:
+    """Dual isogeny back from dual_curve(curve), psi(phi(P)) = 2P: phi of the
+    dual curve, onto y^2 = x^3 + 4A x^2 + 16B x, then (x, y) -> (x/4, y/8)."""
+    image = isogeny_phi(dual_curve(curve), Pbar)
+    if image.is_infinity:
         return O
-    x, y = Pbar.x, Pbar.y
-    return Point(
-        y * y / (4 * x * x),
-        y * (x * x - (A * A - 4 * B)) / (8 * x * x),
-    )
+    return curve._proven(image.x / 4, image.y / 8)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .intmath import factor_int, is_probable_prime
-from .intpoly import IntPoly, _mul_coeffs, _trim, squarefree_decompose
+from .intpoly import IntPoly, _mul_coeffs, _power, _trim, squarefree_decompose
 
 __all__ = ["Factorization", "factor", "is_irreducible", "rational_roots"]
 
@@ -102,14 +102,7 @@ def _gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int],
 
 
 def _gf_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _gf_rem(f, g, p)
-    while e:
-        if e & 1:
-            result = _gf_rem(_gf_mul(result, base, p), g, p)
-        base = _gf_rem(_gf_mul(base, base, p), g, p)
-        e >>= 1
-    return result
+    return _power(_gf_rem(f, g, p), e, [1], lambda a, b: _gf_rem(_gf_mul(a, b, p), g, p))
 
 
 def _gf_derivative(f: list[int], p: int) -> list[int]:
@@ -268,15 +261,14 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
     lifted = _hensel_lift(p, pl, _gf_from_poly(f, pl), mod_factors)
 
     indices = list(range(len(lifted)))
-    remaining = set(indices)
     factors: list[IntPoly] = []
     b = lead
     s = 1
-    while 2 * s <= len(remaining):
+    while 2 * s <= len(indices):
         found = False
         for S in itertools.combinations(indices, s):
             G, H = [b % pl], [b % pl]
-            for i in remaining:
+            for i in indices:
                 if i in S:
                     G = _gf_mul(G, lifted[i], pl)
                 else:
@@ -285,7 +277,6 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
             g_norm = sum(abs(c) for c in G.coeffs)
             h_norm = sum(abs(c) for c in H.coeffs)
             if g_norm * h_norm <= B:
-                remaining -= set(S)
                 indices = [i for i in indices if i not in S]
                 factors.append(G.primitive_part())
                 f = H.primitive_part()
@@ -321,12 +312,8 @@ class Factorization:
     poly_factors: tuple[tuple[IntPoly, int], ...]
 
     def recompose(self) -> IntPoly:
-        out = IntPoly.const(self.unit)
-        for q, e in self.content_primes:
-            out = out * q**e
-        for g, e in self.poly_factors:
-            out = out * g**e
-        return out
+        powers = [q**e for q, e in self.content_primes] + [g**e for g, e in self.poly_factors]
+        return math.prod(powers, start=IntPoly.const(self.unit))
 
 
 def factor(p: IntPoly) -> Factorization:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -191,12 +192,16 @@ def is_square_rat(q: Fraction | int) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"[+-]?([0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' with b > 0 into an exact rational; any other
-    form, such as '0.5' or '1e100', is rejected."""
-    if not _RATIONAL_RE.fullmatch(text.strip()):
-        raise ValueError(f"not a rational number: {text!r}")
-    return Fraction(text.strip())
+    form, such as '0.5' or '1e100', is rejected, and so is a digit run
+    over Python's int conversion limit."""
+    m = _RATIONAL_RE.fullmatch(text.strip())
+    if not m:
+        raise ValueError("not a rational number")
+    if 0 < (limit := sys.get_int_max_str_digits()) < max(len(run or "") for run in m.groups()):
+        raise ValueError(f"integer longer than {limit} digits")
+    return Fraction(m[0])

@@ -8,6 +8,7 @@ for the injectivity criteria happens in this ring.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable
 
@@ -251,15 +252,17 @@ def _mul_coeffs(f, g, zero=0) -> list:
     return out
 
 
-def _power(base, e: int, one):
-    """base**e for e >= 0 by repeated squaring, in any ring with *."""
+def _power(base, e: int, one, mul=operator.mul):
+    """base**e for e >= 0 by square-and-multiply (Knuth, TAOCP 2, 4.6.3)
+    under the associative product `mul` with identity `one`; nothing is
+    squared after the top bit."""
     result = one
     while e:
         if e & 1:
-            result = result * base
+            result = mul(result, base)
         e >>= 1
         if e:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -421,11 +424,8 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     odd-multiplicity Yun factors.
     """
     unit, content, parts = squarefree_decompose(p)
-    out = IntPoly.const(unit * squarefree_part_int(content))
-    for d, m in parts:
-        if m % 2:
-            out = out * d
-    return out
+    odd = [d for d, m in parts if m % 2]
+    return math.prod(odd, start=IntPoly.const(unit * squarefree_part_int(content)))
 
 
 def poly_sqrt(p: IntPoly) -> IntPoly | None:
@@ -440,7 +440,4 @@ def poly_sqrt(p: IntPoly) -> IntPoly | None:
     root = exact_isqrt(content)
     if root is None or any(m % 2 for _, m in parts):
         return None
-    out = IntPoly.const(root)
-    for d, m in parts:
-        out = out * d ** (m // 2)
-    return out
+    return math.prod((d ** (m // 2) for d, m in parts), start=IntPoly.const(root))

@@ -80,12 +80,10 @@ def relation_search(
     for P in points:
         table = {0: O}
         acc = O
-        neg_acc = O
         for m in range(1, bound + 1):
             acc = curve.add(acc, P)
             table[m] = acc
-            neg_acc = curve.add(neg_acc, curve.neg(P))
-            table[-m] = neg_acc
+            table[-m] = curve.neg(acc)
         multiples.append(table)
 
     k = len(points)

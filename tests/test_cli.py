@@ -393,3 +393,42 @@ def test_invariant_violation_exits_3_under_python_O():
     assert proc.returncode == 3, proc.stderr
     assert "internal invariant violation" in proc.stderr
     assert "not coprime" in proc.stderr
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", *_SPLIT[:4], "--t0", _LONG),
+        ("mestre", "--a", _LONG, "--b", "12"),
+        ("mestre", "--a", "2", "--b", _LONG),
+    ],
+)
+def test_a_rational_over_the_int_limit_exits_2_naming_the_limit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid rational '11111")
+    assert err.endswith(f": integer longer than {_LIMIT} digits\n") and len(err) < 200
+
+
+def test_a_certificate_t0_over_the_int_limit_exits_2_naming_t0(tmp_path, capsys):
+    code, out, err = _replay_edited(tmp_path, capsys, lambda doc: doc.update(t0=_LONG), *_SPLIT)
+    assert (code, out) == (2, "")
+    assert err == f"error: certificate t0: integer longer than {_LIMIT} digits\n"
+
+
+def test_a_json_number_over_the_int_limit_exits_2(tmp_path, capsys):
+    _, cert, _ = run(capsys, "check", *_SPLIT, "--json")
+    path = tmp_path / "long.json"
+    path.write_text(cert.replace("{", '{"extra": ' + _LONG + ", ", 1))
+    code, out, err = run(capsys, "check", "--replay", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: certificate holds an integer longer than {_LIMIT} digits\n"
+    # malformed JSON keeps the decoder's own message
+    path.write_text(cert[:50])
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(cert[:50])
+    assert run(capsys, "check", "--replay", str(path)) == (2, "", f"error: {exc.value}\n")

@@ -166,3 +166,33 @@ def test_phi_image_criterion():
         assert image.x.is_square()  # y^2/x^2 by construction
         hits += 1
     assert hits > 0
+
+
+def test_psi_of_phi_is_proven_on_the_curve(monkeypatch):
+    # psi is phi of the dual curve, so it checks its input on the dual
+    # once; its scaled result lies on curve by construction and is not
+    # checked again by the group law.
+    rng = random.Random(63)
+    for _ in range(10):
+        curve, P = random_c0_curve_with_point(rng)
+        P = curve.point(P.x, P.y)
+        image = isogeny_phi(curve, P)
+        calls = []
+        contains = Curve.contains
+        monkeypatch.setattr(Curve, "contains", lambda self, Q: calls.append(Q) or contains(self, Q))
+        back = isogeny_psi(curve, image)
+        threeP = curve.add(back, P)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert in_field(curve, back) and curve.contains(back)
+        assert threeP == curve.scalar_mul(3, P)
+
+
+def test_psi_over_q():
+    # y^2 = x^3 + 5x^2 + 4x = x(x + 1)(x + 4) through (-2, 2)
+    curve = Curve(5, 4, 0)
+    P = curve.point(-2, 2)
+    twoP = isogeny_psi(curve, isogeny_phi(curve, P))
+    assert twoP == curve.scalar_mul(2, P) and in_field(curve, twoP)
+    assert isogeny_psi(curve, O) == O
+    assert isogeny_psi(curve, Point(0, 0)) == O

@@ -1,6 +1,7 @@
 import random
 
-from ellspec.factorize import factor, is_irreducible, rational_roots
+from ellspec import factorize
+from ellspec.factorize import _gf_mul, _gf_pow_mod, _gf_rem, factor, is_irreducible, rational_roots
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import parse_poly
 
@@ -97,3 +98,25 @@ def test_factor_round_trip_bulk():
 def test_factorization_is_deterministic():
     p = (T**2 + T + 1) * (T**3 - 2) * (2 * T - 5) * 30
     assert factor(p) == factor(p)
+
+
+def test_gf_pow_mod_agrees_with_repeated_multiplication():
+    rng = random.Random(71)
+    for _ in range(40):
+        p = rng.choice([3, 5, 7, 11, 101])
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, p)]
+        f = [rng.randrange(p) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, p)]
+        naive = [1]  # f**e mod (g, p); deg g >= 1, so 1 is reduced
+        for e in range(33):  # 0, 1 and the powers of two up to 32 included
+            assert _gf_pow_mod(f, e, g, p) == naive, (f, e, g, p)
+            naive = _gf_rem(_gf_mul(naive, f, p), g, p)
+
+
+def test_gf_pow_mod_squares_nothing_after_the_top_bit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(factorize, "_gf_mul", lambda f, g, m: calls.append(1) or _gf_mul(f, g, m))
+    for e in (1, 2, 3, 7, 8, 13, 100, 2**10 + 1):
+        calls.clear()
+        _gf_pow_mod([2, 1], e, [1, 0, 0, 1], 7)  # (t + 2)**e mod (t^3 + 1, 7)
+        # one product per set bit, one squaring per bit after the first
+        assert len(calls) == bin(e).count("1") + e.bit_length() - 1, e

@@ -6,8 +6,9 @@ and ratfunc take values into Q(t) (a curve fixes the field of its
 coefficients and points once), so no other module of the package reads
 RatFunc's _coerce or _lift.  In parsing, only _tokenize reads the raw
 text: no other function slices it with string methods or re.  The
-package has one schoolbook product loop, intpoly._mul_coeffs, and one
-trailing-zero loop, intpoly._trim.
+package has one schoolbook product loop, intpoly._mul_coeffs, one
+trailing-zero loop, intpoly._trim, and one square-and-multiply loop,
+intpoly._power.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead private code.  An imported name
@@ -417,3 +418,61 @@ def test_the_kernel_scan_flags_copied_product_and_trim_loops():
     program = {"factorize": factorize, "parsing": parsing, "intmath": intmath}
     assert _kernel_loops(program, _is_product_loop) == ["factorize._gf_mul", "parsing._XPoly.__mul__"]
     assert _kernel_loops(program, _is_trim_loop) == ["factorize._gf_trim", "parsing._XPoly.__init__"]
+
+
+def _is_power_loop(node: ast.AST) -> bool:
+    """A while loop that shifts a name right by one bit (e >>= 1)."""
+    return isinstance(node, ast.While) and any(
+        isinstance(n, ast.AugAssign)
+        and isinstance(n.op, ast.RShift)
+        and isinstance(n.target, ast.Name)
+        and isinstance(n.value, ast.Constant)
+        and n.value.value == 1
+        for stmt in node.body
+        for n in ast.walk(stmt)
+    )
+
+
+def test_one_square_and_multiply_loop():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _kernel_loops(program, _is_power_loop) == ["intpoly._power"]
+
+
+def test_the_power_scan_flags_copied_square_and_multiply_loops():
+    curves = ast.parse(
+        "class Curve:\n"
+        "    def scalar_mul(self, m, P):\n"
+        "        result = O\n"
+        "        base = P\n"
+        "        while m:\n"
+        "            if m & 1:\n"
+        "                result = self.add(result, base)\n"
+        "            m >>= 1\n"
+        "            if m:\n"
+        "                base = self.add(base, base)\n"
+        "        return result\n"
+    )
+    factorize = ast.parse(
+        "def _gf_pow_mod(f, e, g, p):\n"
+        "    result = [1]\n"
+        "    base = _gf_rem(f, g, p)\n"
+        "    while e:\n"
+        "        if e & 1:\n"
+        "            result = _gf_rem(_gf_mul(result, base, p), g, p)\n"
+        "        base = _gf_rem(_gf_mul(base, base, p), g, p)\n"
+        "        e >>= 1\n"
+        "    return result\n"
+    )
+    intmath = ast.parse(
+        "def is_probable_prime(n):\n"
+        "    d, s = n - 1, 0\n"
+        "    while d % 2 == 0:\n"
+        "        d //= 2\n"
+        "        s += 1\n"
+        "    return pow(2, d, n)\n"
+        "def bits(n):\n"
+        "    while n:\n"
+        "        n >>= 2\n"
+    )
+    program = {"curves": curves, "factorize": factorize, "intmath": intmath}
+    assert _kernel_loops(program, _is_power_loop) == ["curves.Curve.scalar_mul", "factorize._gf_pow_mod"]

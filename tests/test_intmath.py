@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -99,3 +100,13 @@ def test_parse_rational():
     for text in ("x", "0.5", "1e3", "1/2/3", "1 / 2", "--1", "1_000"):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def test_parse_rational_rejects_digit_runs_over_the_int_limit():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text in (long, "-" + long, "1/" + long, long + "/3"):
+        with pytest.raises(ValueError, match=f"^integer longer than {limit} digits$"):
+            parse_rational(text)
+    top, bottom = "1" * limit, "3" * limit
+    assert parse_rational(f"{top}/{bottom}") == Fraction(int(top), int(bottom))

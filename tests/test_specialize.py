@@ -95,3 +95,15 @@ def test_relation_search_validates_points():
     curve = Curve(Fraction(0), Fraction(-1), Fraction(1))
     with pytest.raises(ValueError):
         relation_search(curve, [Point(Fraction(5), Fraction(5))], 2)
+
+
+def test_relation_search_builds_each_table_with_one_chain(monkeypatch):
+    # P, 2P, 3P by three additions and their negatives by negation, then
+    # one addition onto O for each of the six candidates (1), (-1), ..., (-3)
+    curve = Curve(Fraction(0), Fraction(-1), Fraction(1))
+    P = curve.point(1, 1)
+    calls = []
+    add = Curve.add
+    monkeypatch.setattr(Curve, "add", lambda self, A, B: calls.append(1) or add(self, A, B))
+    assert relation_search(curve, [P], 3) is None
+    assert len(calls) == 9
