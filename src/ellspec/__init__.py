@@ -21,24 +21,9 @@ from .conditions import (
     replay_certificate,
 )
 from .curves import Curve, O, OffCurveError, Point, SingularCurveError
-from .descent import (
-    SquareClass,
-    divisibility_bound,
-    dual_curve,
-    in_double,
-    isogeny_phi,
-    isogeny_psi,
-    square_class_rep,
-    theta,
-)
-from .factorize import Factorization, factor, is_irreducible, rational_roots
-from .intpoly import (
-    IntPoly,
-    cubic_discriminant,
-    poly_gcd,
-    squarefree_decompose,
-    squarefree_part,
-)
+from .descent import dual_curve, isogeny_phi, isogeny_psi
+from .factorize import Factorization, factor, rational_roots
+from .intpoly import IntPoly, cubic_discriminant, poly_gcd, squarefree_decompose
 from .mestre import (
     GeneratorConclusion,
     MestreInstance,
@@ -77,20 +62,16 @@ __all__ = [
     "RatFunc",
     "SearchBudget",
     "SingularCurveError",
-    "SquareClass",
     "certificate_to_json",
     "check_condition",
     "cubic_discriminant",
-    "divisibility_bound",
     "dual_curve",
     "enumerate_divisors",
     "factor",
     "find_t0",
     "generator_certificate",
     "homomorphism_check",
-    "in_double",
     "injectivity_report",
-    "is_irreducible",
     "isogeny_phi",
     "isogeny_psi",
     "morphism_degree",
@@ -105,9 +86,6 @@ __all__ = [
     "replay_certificate",
     "specialize_curve",
     "specialize_point",
-    "square_class_rep",
     "squarefree_decompose",
-    "squarefree_part",
-    "theta",
     "twist_polynomial",
 ]

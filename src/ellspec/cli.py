@@ -24,9 +24,10 @@ from .conditions import (
     find_t0,
     replay_certificate,
 )
+from .curves import Point
 from .factorize import factor
 from .golden import run_golden_suite
-from .intmath import parse_rational
+from .intmath import parse_rational, rational_text
 from .parsing import parse_curve, parse_point, parse_poly
 from .specialize import specialize_curve, specialize_point
 
@@ -185,15 +186,18 @@ def _cmd_specialize(args) -> int:
     t0 = _t0_arg(args.t0)
     target = specialize_curve(curve, t0)
     image = specialize_point(curve, point, t0)
+    A, B, C = (rational_text(getattr(target, k), f"{k} at t0") for k in "ABC")
+    if not image.is_infinity:
+        image = Point(rational_text(image.x, "x at t0"), rational_text(image.y, "y at t0"))
     if args.json:
         doc = {
             "t0": str(t0),
-            "curve": {"A": str(target.A), "B": str(target.B), "C": str(target.C)},
-            "point": "O" if image.is_infinity else [str(image.x), str(image.y)],
+            "curve": {"A": A, "B": B, "C": C},
+            "point": "O" if image.is_infinity else [image.x, image.y],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"curve at t0={t0}: A={target.A}, B={target.B}, C={target.C}")
+        print(f"curve at t0={t0}: A={A}, B={B}, C={C}")
         print(f"point image: {image}")
     return 0
 

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 from .curves import Curve, _q_cubic_roots
 from .factorize import factor
-from .intmath import as_rational, is_square_rat, parse_rational
+from .intmath import as_rational, is_square_rat, parse_rational, rational_text
 from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
 from .parsing import _parse_integral
 
@@ -40,7 +40,6 @@ __all__ = [
     "Checker",
     "enumerate_divisors",
     "check_condition",
-    "lemma_nonsingular_checks",
     "find_t0",
     "t0_candidates",
     "certificate_to_json",
@@ -87,7 +86,8 @@ class ConditionReport:
         out = f"condition {self.condition} at t0={self.t0}: {verdict}"
         if not self.passed and self.witnesses:
             w = self.witnesses[0]
-            out += f" (witness h={w.divisor}, h(t0)={w.value}=({w.square_root})^2)"
+            value = rational_text(w.value, "divisor value at t0")
+            out += f" (witness h={w.divisor}, h(t0)={value}=({w.square_root})^2)"
         return out
 
 
@@ -254,15 +254,6 @@ def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionRepo
     return Checker(curve, condition).check(t0)
 
 
-def lemma_nonsingular_checks(curve: Curve, t0) -> tuple[bool, bool]:
-    """(D(t0) != 0, specialized cubic has exactly one rational root)."""
-    t0 = as_rational(t0)
-    A, B, C = curve.coeff_polys()
-    nonsingular = curve.discriminant_poly()(t0) != 0
-    roots = _q_cubic_roots(A(t0), B(t0), C(t0))
-    return nonsingular, len(roots) == 1
-
-
 # ---------------------------------------------------------------------------
 # Search for a certified t0.
 # ---------------------------------------------------------------------------
@@ -326,13 +317,14 @@ def _certificate_doc(report: ConditionReport) -> dict:
         "t0": str(report.t0),
         "passed": report.passed,
         "certifying": report.certifying and report.passed,
-        "discriminant_value": str(report.discriminant_value),
+        "discriminant_value": rational_text(report.discriminant_value, "discriminant at t0"),
         "checks": [
             {
                 "target": c.target,
                 "divisor": str(c.divisor),
-                "value": str(c.value),
+                "value": rational_text(c.value, "divisor value at t0"),
                 "square": c.is_square,
+                # fewer digits than the value, so within the limit
                 "square_root": None if c.square_root is None else str(c.square_root),
             }
             for c in report.checks

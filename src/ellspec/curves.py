@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .factorize import _mignotte_bound
 from .intmath import as_rational
-from .intpoly import IntPoly, _from_balanced_digits, _horner, _power, cubic_discriminant, poly_sqrt
+from .intpoly import IntPoly, _from_balanced_digits, _horner, _power, cubic_discriminant
 from .ratfunc import RatFunc
 
-__all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError", "XDecomposition"]
+__all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError"]
 
 
 class SingularCurveError(ValueError):
@@ -56,14 +56,6 @@ class Point:
 
 
 O = Point()
-
-
-@dataclass(frozen=True)
-class XDecomposition:
-    """x(P) = p / q**2 with p, q coprime in Z[t]."""
-
-    p: IntPoly
-    q: IntPoly
 
 
 class Curve:
@@ -214,33 +206,6 @@ class Curve:
             roots = [RatFunc(X.num, self._model_den) for X in _qt_cubic_roots(*self._model)]
         zero = self._element(0)
         return [O] + [self._proven(e, zero) for e in roots]
-
-    # -- x-coordinate decomposition ----------------------------------------
-
-    def x_decompose(self, P: Point) -> XDecomposition:
-        """Write x(P) = p/q^2, p and q coprime in Z[t]."""
-        if self.field != "Q(t)":
-            raise ValueError("x_decompose requires a curve over Q(t)")
-        if P.is_infinity:
-            raise ValueError("x_decompose requires an affine point")
-        x = self._require(P).x
-        self.coeff_polys()  # enforce Z[t] coefficients
-        q = poly_sqrt(x.den)
-        if q is None:
-            raise ValueError(f"denominator {x.den} of x(P) is not a square in Z[t]")
-        return XDecomposition(p=x.num, q=q)
-
-    # -- model diagnostics ----------------------------------------------------
-
-    def j_invariant(self):
-        c4 = 16 * self.A * self.A - 48 * self.B
-        return c4 * c4 * c4 / (16 * self.disc_cubic)
-
-    def is_nonconstant(self) -> bool:
-        """True when the model is non-isotrivial: j is nonconstant in Q(t)."""
-        if self.field != "Q(t)":
-            return False
-        return not self.j_invariant().is_constant
 
     def __str__(self) -> str:
         return f"y^2 = x^3 + ({self.A})*x^2 + ({self.B})*x + ({self.C})"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .intmath import factor_int, is_probable_prime
 from .intpoly import IntPoly, _mul_coeffs, _power, _trim, squarefree_decompose
 
-__all__ = ["Factorization", "factor", "is_irreducible", "rational_roots"]
+__all__ = ["Factorization", "factor", "rational_roots"]
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +335,6 @@ def factor(p: IntPoly) -> Factorization:
         content_primes=tuple(sorted(content_primes.items())),
         poly_factors=tuple(poly_factors),
     )
-
-
-def is_irreducible(p: IntPoly) -> bool:
-    """True when the primitive part of p is irreducible over Q."""
-    if p.is_zero or p.is_constant:
-        return False
-    fac = factor(p)
-    return len(fac.poly_factors) == 1 and fac.poly_factors[0][1] == 1
 
 
 def rational_roots(p: IntPoly) -> list:

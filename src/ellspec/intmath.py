@@ -19,11 +19,11 @@ __all__ = [
     "is_probable_prime",
     "factor_int",
     "FactorBudgetError",
-    "squarefree_part_int",
     "exact_isqrt",
     "as_rational",
     "is_square_rat",
     "parse_rational",
+    "rational_text",
 ]
 
 _TRIAL_LIMIT = 10**6
@@ -146,18 +146,6 @@ def factor_int(n: int) -> tuple[int, dict[int, int]]:
     return sign, dict(sorted(factors.items()))
 
 
-def squarefree_part_int(n: int) -> int:
-    """Signed squarefree part: n = squarefree_part * (square), same sign as n."""
-    if n == 0:
-        raise ValueError("zero has no squarefree part")
-    sign, factors = factor_int(n)
-    out = sign
-    for p, e in factors.items():
-        if e % 2:
-            out *= p
-    return out
-
-
 def exact_isqrt(n: int) -> int | None:
     """Integer square root when n is a perfect square, else None."""
     if n < 0:
@@ -205,3 +193,12 @@ def parse_rational(text: str) -> Fraction:
     if 0 < (limit := sys.get_int_max_str_digits()) < max(len(run or "") for run in m.groups()):
         raise ValueError(f"integer longer than {limit} digits")
     return Fraction(m[0])
+
+
+def rational_text(value: Fraction | int, name: str) -> str:
+    """str(value), or a ValueError that names the value and Python's int
+    conversion limit when a part of value has more digits than that."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"{name}: integer longer than {sys.get_int_max_str_digits()} digits") from None

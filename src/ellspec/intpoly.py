@@ -12,14 +12,13 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
-from .intmath import exact_isqrt, squarefree_part_int
+from .intmath import exact_isqrt
 
 __all__ = [
     "IntPoly",
     "cubic_discriminant",
     "poly_gcd",
     "squarefree_decompose",
-    "squarefree_part",
     "poly_sqrt",
 ]
 
@@ -415,17 +414,6 @@ def squarefree_decompose(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]
         d = c - b.derivative()
         i += 1
     return unit, content, out
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """Signed squarefree representative of p modulo squares in Q(t)^x.
-
-    Sign of the unit times the squarefree part of the content times the
-    odd-multiplicity Yun factors.
-    """
-    unit, content, parts = squarefree_decompose(p)
-    odd = [d for d, m in parts if m % 2]
-    return math.prod(odd, start=IntPoly.const(unit * squarefree_part_int(content)))
 
 
 def poly_sqrt(p: IntPoly) -> IntPoly | None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intpoly import IntPoly, _power, poly_gcd, poly_sqrt
+from .intpoly import IntPoly, _power, poly_gcd
 
 __all__ = ["RatFunc"]
 
@@ -164,19 +164,6 @@ class RatFunc:
         if d == 0:
             return None
         return self.num(t0) / d
-
-    # -- square testing ------------------------------------------------------
-
-    def sqrt(self) -> "RatFunc | None":
-        """A square root in Q(t) when one exists (numerator lc chosen
-        positive), else None.  By Gauss's lemma the reduced num/den is a
-        square exactly when num * den is a square in Z[t], and then
-        sqrt(num * den) / den is a root."""
-        root = poly_sqrt(self.num * self.den)
-        return None if root is None else RatFunc(root, self.den)
-
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
 
     # -- printing ---------------------------------------------------------------
 

@@ -414,6 +414,25 @@ def test_a_rational_over_the_int_limit_exits_2_naming_the_limit(capsys, argv):
     assert err.endswith(f": integer longer than {_LIMIT} digits\n") and len(err) < 200
 
 
+_WIDE_T0 = "7" * 4000  # inside the limit, but t^2 at it has 8,000 digits
+_SQUARED = ("--curve", "y^2 = x^3 + t^2*x^2 - x")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("specialize", *_SQUARED, "--point", "O", "--t0", _WIDE_T0), "A"),
+        (("specialize", "--json", *_SQUARED, "--point", "O", "--t0", _WIDE_T0), "A"),
+        (("check", "--json", "--condition", "scriptA", *_SQUARED, "--t0", _WIDE_T0), "discriminant"),
+    ],
+    ids=["specialize", "specialize --json", "check --json"],
+)
+def test_an_output_over_the_int_limit_exits_2_naming_the_value(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} at t0: integer longer than {_LIMIT} digits\n"
+
+
 def test_a_certificate_t0_over_the_int_limit_exits_2_naming_t0(tmp_path, capsys):
     code, out, err = _replay_edited(tmp_path, capsys, lambda doc: doc.update(t0=_LONG), *_SPLIT)
     assert (code, out) == (2, "")

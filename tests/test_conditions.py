@@ -17,14 +17,13 @@ from ellspec.conditions import (
     check_condition,
     enumerate_divisors,
     find_t0,
-    lemma_nonsingular_checks,
     replay_certificate,
     t0_candidates,
 )
 from ellspec.curves import Curve, O
 from ellspec.factorize import factor
-from ellspec.intmath import is_square_rat
-from ellspec.intpoly import IntPoly, squarefree_part
+from ellspec.intmath import factor_int, is_square_rat
+from ellspec.intpoly import IntPoly, poly_sqrt, squarefree_decompose
 from ellspec.parsing import ParseError, parse_curve
 from ellspec.ratfunc import RatFunc
 from ellspec.specialize import homomorphism_check, specialize_curve, specialize_point
@@ -64,10 +63,14 @@ def test_enumerate_divisors_are_squarefree_nonconstant():
     assert divs  # nonempty
     for h in divs:
         assert not h.is_constant
-        assert squarefree_part(h) == h  # already a squarefree representative
-    # no two divisors share a square class
+        # already a squarefree representative: squarefree content, every
+        # factor once
+        _, content, parts = squarefree_decompose(h)
+        assert all(e == 1 for e in factor_int(content)[1].values())
+        assert all(m == 1 for _, m in parts)
+    # no two divisors share a square class: a/b is not a square in Q(t)
     for a, b in itertools.combinations(divs, 2):
-        assert not RatFunc(a, b).is_square()
+        assert poly_sqrt(a * b) is None
 
 
 def test_enumerate_divisors_rejects_zero():
@@ -257,14 +260,6 @@ def test_unknown_condition_rejected():
         assert str(info.value) == message
 
 
-def test_lemma_nonsingular_checks():
-    curve = parse_curve("y^2 = x^3 + t^2*x^2 - x")
-    assert lemma_nonsingular_checks(curve, 2) == (True, True)
-    split = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
-    nonsing, unique_root = lemma_nonsingular_checks(split, 2)
-    assert nonsing and not unique_root  # three rational roots
-
-
 _SPLIT = parse_curve("e=(0, t, 7*t+1)")
 
 
@@ -273,7 +268,6 @@ _SPLIT = parse_curve("e=(0, t, 7*t+1)")
     [
         lambda: Checker(_SPLIT, "A").check(0.1),
         lambda: check_condition(_SPLIT, "A", 0.1),
-        lambda: lemma_nonsingular_checks(_SPLIT, 0.1),
         lambda: specialize_curve(_SPLIT, 0.1),
         lambda: specialize_point(_SPLIT, O, 0.1),
         lambda: homomorphism_check(_SPLIT, O, O, 0.1),
@@ -281,7 +275,7 @@ _SPLIT = parse_curve("e=(0, t, 7*t+1)")
         lambda: mestre.build(2, 0.1),
         lambda: mestre.generator_certificate(mestre.build(2, 12), 0.1, 2, "declared"),
     ],
-    ids=["check", "check_condition", "lemma", "specialize_curve", "specialize_point",
+    ids=["check", "check_condition", "specialize_curve", "specialize_point",
          "homomorphism_check", "build a", "build b", "generator_certificate"],
 )
 def test_a_float_t0_is_rejected(call):

@@ -232,16 +232,6 @@ def test_two_torsion_with_denominators():
         assert curve2.add(P, P) == O
 
 
-def test_x_decompose():
-    curve = Curve(t * t, RatFunc(-1), RatFunc(0))
-    P = Point(RatFunc(1), t)
-    twoP = curve.scalar_mul(2, P)
-    dec = curve.x_decompose(twoP)
-    assert dec.p == IntPoly.const(1) and dec.q == T
-    dec1 = curve.x_decompose(P)
-    assert dec1.p == IntPoly.const(1) and dec1.q == IntPoly.const(1)
-
-
 def test_from_roots_expansion():
     rng = random.Random(404)
     for _ in range(10):
@@ -301,15 +291,6 @@ def test_a_denominator_keeps_the_z_t_accessors_closed():
 
     integral = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
     assert integral.discriminant_poly() == _field_discriminant(integral).as_poly()
-
-
-def test_j_invariant_and_isotriviality():
-    assert Curve(t * t, RatFunc(-1), RatFunc(0)).is_nonconstant()
-    # constant curve base-changed to Q(t) is isotrivial
-    assert not Curve(RatFunc(0), RatFunc(-1), RatFunc(1)).is_nonconstant()
-    # j = 1728 exactly when A = C = 0
-    curve = Curve(Fraction(0), Fraction(2), Fraction(0))
-    assert curve.j_invariant() == 1728
 
 
 def test_equal_values_hash_equal():

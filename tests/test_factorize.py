@@ -1,7 +1,7 @@
 import random
 
 from ellspec import factorize
-from ellspec.factorize import _gf_mul, _gf_pow_mod, _gf_rem, factor, is_irreducible, rational_roots
+from ellspec.factorize import _gf_mul, _gf_pow_mod, _gf_rem, factor, rational_roots
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import parse_poly
 
@@ -48,6 +48,11 @@ def test_factors_are_primitive_with_positive_lc():
     for g, _ in fac.poly_factors:
         assert g.content() == 1
         assert g.lc > 0
+
+
+def is_irreducible(p):
+    """The primitive part of p is irreducible: factor finds one factor, once."""
+    return [m for _, m in factor(p).poly_factors] == [1]
 
 
 def test_irreducibility():

@@ -1,17 +1,22 @@
-"""Every imported name in the package and the test suite is used, every
-module-level private name of the package is read somewhere in the
-package, the tests or the bench outside its own definition, and so is
-every method of a class in the package, as an attribute.  Only curves
-and ratfunc take values into Q(t) (a curve fixes the field of its
-coefficients and points once), so no other module of the package reads
-RatFunc's _coerce or _lift.  In parsing, only _tokenize reads the raw
-text: no other function slices it with string methods or re.  The
+"""Every imported name in the package and the test suite is used.  Every
+module-level private name of the package, every name in a module's
+__all__ and every method of a class in the package (as an attribute) is
+read outside its own definition by the program: the package, bench/*.py
+or a function that bench/tracing.py wraps by name.  A test does not
+count as a caller, so library code that only tests call is dead; two
+names are kept without a caller, each for a stated reason.  No module of
+the package holds an assert statement, since python -O strips them.
+
+Only curves and ratfunc take values into Q(t) (a curve fixes the field
+of its coefficients and points once), so no other module of the package
+reads RatFunc's _coerce or _lift.  In parsing, only _tokenize reads the
+raw text: no other function slices it with string methods or re.  The
 package has one schoolbook product loop, intpoly._mul_coeffs, one
 trailing-zero loop, intpoly._trim, and one square-and-multiply loop,
 intpoly._power.
 
 No linter is installed alongside the package, so these scans are the
-guard against dead imports and dead private code.  An imported name
+guard against dead imports and dead code.  An imported name
 counts as used when it is loaded anywhere in the module, listed in
 ``__all__``, or named inside a string annotation; ``from __future__``
 imports are exempt.
@@ -87,11 +92,20 @@ def test_the_scan_flags_an_unused_import_and_spares_the_exemptions():
 
 
 PROGRAM = sorted(ROOT.glob("src/ellspec/*.py"))
-READERS = PROGRAM + sorted(ROOT.glob("tests/**/*.py")) + sorted(ROOT.glob("bench/**/*.py"))
 
 
-def _defined_private_names(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Module-level private function, class or constant -> its statement."""
+def _top_level_value(tree: ast.Module, name: str):
+    """The literal bound to name by a module-level assignment, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level function, class or constant -> its statement."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -101,8 +115,22 @@ def _defined_private_names(tree: ast.Module) -> dict[str, ast.stmt]:
             bound = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        names.update((n, node) for n in bound if n.startswith("_") and not n.startswith("__"))
+        names.update((n, node) for n in bound)
     return names
+
+
+def _private_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    return {
+        n: stmt
+        for n, stmt in _definitions(tree).items()
+        if n.startswith("_") and not n.startswith("__")
+    }
+
+
+def _public_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The names in the module's __all__ that it defines itself."""
+    exported = _top_level_value(tree, "__all__") or []
+    return {n: stmt for n, stmt in _definitions(tree).items() if n in exported}
 
 
 def _loaded_names(node: ast.AST) -> set[str]:
@@ -116,25 +144,117 @@ def _loaded_names(node: ast.AST) -> set[str]:
     return loaded
 
 
-def _dead_private_names(program: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
-    """module._name for each private name of the program that no top-level
-    statement of a reader loads, apart from the statement defining it."""
+def _dead_names(program: dict[str, ast.Module], readers: list[ast.Module], defined) -> list[str]:
+    """module.name for each name that defined(tree) picks in a program module
+    and that no top-level statement of a reader loads, apart from the
+    statement defining it."""
     loads = [(stmt, _loaded_names(stmt)) for reader in readers for stmt in reader.body]
     return [
         f"{module}.{name}"
         for module, tree in program.items()
-        for name, definition in _defined_private_names(tree).items()
+        for name, definition in defined(tree).items()
         if not any(name in loaded for stmt, loaded in loads if stmt is not definition)
     ]
 
 
+def _program_and_callers(root: Path) -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The modules of src/ellspec by name, and the trees whose reads count as
+    calls: those modules, bench/*.py, and the attribute path in the third
+    field of each TRACED entry of bench/tracing.py, which the tracer wraps
+    by name.  No test module counts, so code that only tests call is dead."""
+    program = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.glob("src/ellspec/*.py"))
+    }
+    bench = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.glob("bench/*.py"))
+    }
+    traced = _top_level_value(bench["tracing.py"], "TRACED")
+    wrapped = ast.parse("\n".join(f"TRACED.{path}" for _, _, path in traced))
+    return program, [*program.values(), *bench.values(), wrapped]
+
+
 def test_every_private_name_is_used():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
-    program = {path.stem: trees[path] for path in PROGRAM}
-    assert _dead_private_names(program, list(trees.values())) == []
+    assert _dead_names(*_program_and_callers(ROOT), _private_names) == []
 
 
-def test_the_private_scan_flags_dead_and_self_used_names():
+# Public names that nothing in the program or the bench calls, kept on purpose.
+KEPT_WITHOUT_CALLER = {
+    "curves.Curve.two_torsion": "the only way to find the Q(t)-rational 2-torsion point "
+    "that the paper's criteria assume; a sympy oracle checks it",
+    "descent.isogeny_psi": "the dual isogeny: psi(phi(P)) = 2P checks the 2-isogeny pair "
+    "that a descent for the specialized rank would use",
+}
+
+
+def test_every_public_name_is_called():
+    dead = _dead_names(*_program_and_callers(ROOT), _public_names)
+    assert [name for name in dead if name not in KEPT_WITHOUT_CALLER] == []
+
+
+@pytest.fixture
+def package_tree(tmp_path):
+    """A package whose names are called by the program, by the bench, through
+    TRACED, only by tests, or only by themselves."""
+    files = {
+        "src/ellspec/mod.py": (
+            "__all__ = ['LIMIT', 'Poly', 'main', 'bench_only', 'traced', 'tested', 'recursive']\n"
+            "LIMIT = 3\n"
+            "class Poly:\n"
+            "    @property\n"
+            "    def degree(self):\n"
+            "        return 0\n"
+            "    @classmethod\n"
+            "    def zero(cls):\n"
+            "        return cls()\n"
+            "    def wrapped(self):\n"
+            "        return 1\n"
+            "    def inv(self):\n"
+            "        return 1 / self\n"
+            "    def power(self, e):\n"
+            "        return self.power(e - 1) if e else self\n"
+            "def _reached():\n"
+            "    return 0\n"
+            "def _tested():\n"
+            "    return 1\n"
+            "def main():\n"
+            "    return Poly.zero().degree + LIMIT + _reached()\n"
+            "def bench_only():\n"
+            "    pass\n"
+            "def traced():\n"
+            "    pass\n"
+            "def tested():\n"
+            "    pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+        ),
+        "src/ellspec/__main__.py": "from .mod import main\nmain()\n",
+        "bench/run.py": "from ellspec import mod\nmod.bench_only()\ninv = 3\n",
+        "bench/tracing.py": (
+            "TRACED = (\n"
+            "    ('mod.traced', 'ellspec.mod', 'traced'),\n"
+            "    ('mod.wrapped', 'ellspec.mod', 'Poly.wrapped'),\n"
+            ")\n"
+        ),
+        "bench/tests/test_run.py": "from ellspec import mod\nmod.tested()\nmod.Poly().inv()\n",
+        "tests/test_mod.py": (
+            "from ellspec.mod import Poly, _tested, recursive, tested\n"
+            "tested()\n"
+            "_tested()\n"
+            "recursive(2)\n"
+            "Poly().inv()\n"
+            "Poly().power(2)\n"
+        ),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def test_the_private_scan_flags_dead_and_self_used_names(package_tree):
     source = ast.parse(
         "_LIMIT = 3\n"
         "_UNUSED = 4\n"
@@ -147,10 +267,18 @@ def test_the_private_scan_flags_dead_and_self_used_names():
         "__all__ = []\n"
     )
     reader = ast.parse("import mod\nmod._reached()\n")
-    assert _dead_private_names({"mod": source}, [source, reader]) == [
+    assert _dead_names({"mod": source}, [source, reader], _private_names) == [
         "mod._UNUSED",
         "mod._helper",
         "mod._Dead",
+    ]
+    assert _dead_names(*_program_and_callers(package_tree), _private_names) == ["mod._tested"]
+
+
+def test_the_public_name_scan_counts_only_program_callers(package_tree):
+    assert _dead_names(*_program_and_callers(package_tree), _public_names) == [
+        "mod.tested",
+        "mod.recursive",
     ]
 
 
@@ -179,29 +307,42 @@ def _dead_methods(program: dict[str, ast.Module], readers: list[ast.Module]) -> 
 
 
 def test_every_method_is_used():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
-    program = {path.stem: trees[path] for path in PROGRAM}
-    assert _dead_methods(program, list(trees.values())) == []
+    dead = _dead_methods(*_program_and_callers(ROOT))
+    assert [name for name in dead if name not in KEPT_WITHOUT_CALLER] == []
 
 
-def test_the_method_scan_flags_unread_and_self_read_methods():
+def test_the_method_scan_flags_unread_and_self_read_methods(package_tree):
+    assert _dead_methods(*_program_and_callers(package_tree)) == ["mod.Poly.inv", "mod.Poly.power"]
+
+
+def _asserts(program: dict[str, ast.Module]) -> list[str]:
+    """module:line of every assert statement.  python -O strips them, so an
+    internal invariant must raise instead."""
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in program.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_assert_statement_in_the_package():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _asserts(program) == []
+
+
+def test_the_assert_scan_flags_asserts_but_not_a_raised_assertion_error():
     source = ast.parse(
-        "class Poly:\n"
-        "    def __init__(self, c):\n"
-        "        self.c = c\n"
-        "    @property\n"
-        "    def degree(self):\n"
-        "        return len(self.c) - 1\n"
-        "    def inv(self):\n"
-        "        return 1 / self\n"
-        "    def power(self, e):\n"
-        "        return self.power(e - 1) if e else self\n"
-        "    @classmethod\n"
-        "    def zero(cls):\n"
-        "        return cls([])\n"
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    if x > 9:\n"
+        "        raise AssertionError('small')\n"
+        "    return x\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
     )
-    reader = ast.parse("import mod\nmod.Poly.zero().degree\ninv = 3\n")
-    assert _dead_methods({"mod": source}, [source, reader]) == ["mod.Poly.inv", "mod.Poly.power"]
+    assert _asserts({"mod": source}) == ["mod:2", "mod:8"]
 
 
 FIELD_GATES = {"curves", "ratfunc"}

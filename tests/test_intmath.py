@@ -13,7 +13,6 @@ from ellspec.intmath import (
     is_probable_prime,
     is_square_rat,
     parse_rational,
-    squarefree_part_int,
 )
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 7919, 2**31 - 1, 2**61 - 1]
@@ -68,14 +67,6 @@ def test_as_rational():
     for bad in (0.1, "1/10", Decimal("0.1")):
         with pytest.raises(TypeError):
             as_rational(bad)
-
-
-def test_squarefree_part_int():
-    assert squarefree_part_int(1) == 1
-    assert squarefree_part_int(4) == 1
-    assert squarefree_part_int(-4) == -1
-    assert squarefree_part_int(12) == 3
-    assert squarefree_part_int(360) == 10  # 2^3 * 3^2 * 5
 
 
 def test_is_square_rat():

@@ -10,7 +10,6 @@ from ellspec.intpoly import (
     poly_gcd,
     poly_sqrt,
     squarefree_decompose,
-    squarefree_part,
 )
 
 T = IntPoly.monomial(1, 1)
@@ -133,13 +132,6 @@ def test_squarefree_decompose_recomposes(p):
     for d, m in parts:
         prod = prod * d**m
     assert prod == p
-
-
-def test_squarefree_part_mod_squares():
-    assert squarefree_part((T - 1) ** 2) == IntPoly.const(1)
-    assert squarefree_part(4 * (T - 1) ** 2) == IntPoly.const(1)
-    assert squarefree_part(-8 * (T - 1) ** 3) == -2 * (T - 1)
-    assert squarefree_part(T**2 - 1) == T**2 - 1
 
 
 def test_poly_sqrt():

@@ -62,21 +62,6 @@ def test_map_degree():
     assert RatFunc(7).map_degree() == 0
 
 
-def test_square_detection():
-    f = RatFunc(4 * (T + 1) ** 2, 9 * T**2)
-    assert f.is_square()
-    assert f.sqrt() == RatFunc(2 * (T + 1), 3 * T)
-    assert not RatFunc(T).is_square()
-    assert not RatFunc(-(T**2)).is_square()
-    assert RatFunc(0).is_square()
-
-
-@given(nonzero_ratfuncs)
-def test_square_roundtrip(f):
-    s = (f * f).sqrt()
-    assert s is not None and s * s == f * f
-
-
 def test_as_poly_and_as_fraction():
     assert RatFunc(T**2 - 1).as_poly() == T**2 - 1
     with pytest.raises(ValueError):

@@ -1,19 +1,16 @@
 """The square kernel against sympy, used here only as an oracle.
 
-squarefree_decompose is compared with sympy's sqf_list.  poly_sqrt and
-RatFunc.sqrt are compared with squareness read off sympy's factor_list,
-a full factorization, so the oracle does not share the Yun decomposition
-under test.  Inputs plant squares f^2 * c next to random polynomials, with
+squarefree_decompose is compared with sympy's sqf_list.  poly_sqrt is
+compared with squareness read off sympy's factor_list, a full
+factorization, so the oracle does not share the Yun decomposition under
+test.  Inputs plant squares f^2 * c next to random polynomials, with
 zero, constants, negative leading coefficients and contents up to 2^64.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ellspec.intpoly import IntPoly, poly_sqrt, squarefree_decompose
-from ellspec.ratfunc import RatFunc
 
 sympy = pytest.importorskip("sympy")
 
@@ -40,13 +37,6 @@ def _sympy_is_square(p: IntPoly) -> bool:
 
 def _is_square_int(n: int) -> bool:
     return n >= 0 and sympy.integer_nthroot(n, 2)[1]
-
-
-def _sympy_leading_and_even(p: IntPoly) -> tuple[Fraction, bool]:
-    """(integer coefficient, every irreducible exponent even) of nonzero p
-    in sympy's factor_list."""
-    coeff, factors = _sympy_poly(p).factor_list()
-    return Fraction(int(coeff)), all(e % 2 == 0 for _, e in factors)
 
 
 small = st.lists(st.integers(-20, 20), max_size=5).map(IntPoly)
@@ -95,46 +85,3 @@ def test_poly_sqrt_finds_a_root_exactly_for_squares(p):
     if root is not None:
         assert root * root == p
         assert root.is_zero or root.lc > 0
-
-
-nonzero_ratfuncs = st.builds(RatFunc, nonzero_small, nonzero_small)
-
-
-def test_ratfunc_sqrt_of_zero():
-    assert RatFunc(0).sqrt() == RatFunc(0)
-
-
-@settings(deadline=None)
-@given(nonzero_ratfuncs, st.sampled_from([(1, 1), (4, 2), (Fraction(4, 9), Fraction(2, 3))]))
-@example(RatFunc(1), (Fraction(4, 9), Fraction(2, 3)))
-@example(RatFunc(1 - T, 3 * T + 6), (4, 2))
-def test_ratfunc_sqrt_of_a_planted_square(f, c_and_root):
-    c, root_c = c_and_root
-    value = c * f * f
-    root = value.sqrt()
-    assert value.is_square()
-    assert root in (root_c * f, -root_c * f)
-    assert root.num.lc > 0
-
-
-@settings(deadline=None)
-@given(nonzero_ratfuncs, st.sampled_from([2, -1, Fraction(1, 2)]))
-@example(RatFunc(1), -1)
-@example(RatFunc(T + 1, T - 1), Fraction(1, 2))
-def test_ratfunc_sqrt_rejects_a_planted_non_square(f, c):
-    value = c * f * f
-    assert value.sqrt() is None and not value.is_square()
-
-
-@settings(deadline=None)
-@given(nonzero_small, nonzero_small, st.sampled_from([1, 4, Fraction(4, 9), 2, -1]))
-def test_ratfunc_sqrt_matches_sympy(n, d, c):
-    value = c * RatFunc(n * n, d)  # a square exactly when c/d is one
-    cn, even_n = _sympy_leading_and_even(value.num)
-    cd, even_d = _sympy_leading_and_even(value.den)
-    ratio = cn / cd
-    rational_square = _is_square_int(ratio.numerator) and _is_square_int(ratio.denominator)
-    root = value.sqrt()
-    assert (root is not None) == (even_n and even_d and rational_square)
-    if root is not None:
-        assert root * root == value
