@@ -23,11 +23,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .curves import Curve, _q_cubic_roots
+from .curves import Curve, _q_cubic_roots, _qt_cubic_roots
 from .factorize import factor
-from .intmath import as_rational, is_square_rat, parse_rational, rational_text
+from .intmath import as_rational, exact_isqrt, is_square_rat, parse_rational, rational_text
 from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
 from .parsing import _parse_integral
 
@@ -120,13 +121,14 @@ def enumerate_divisors(target: IntPoly) -> list[IntPoly]:
     """
     if target.is_zero:
         raise ValueError("zero target")
-    return [h for h, _, _ in _divisor_products([factor(target)])[1]]
+    return [h for h, _, _ in _divisor_products([factor(target)])[2]]
 
 
-def _divisor_products(facs) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tuple[int, ...]]]]:
-    """The distinct primitive irreducible factors g_i of the product of the
-    factorized pieces, and every divisor as (h, c, idx) with
-    h = c * prod(g_i for i in idx), in the order of enumerate_divisors."""
+def _divisor_products(facs) -> tuple[list[IntPoly], list[int], list[tuple[IntPoly, int, tuple[int, ...]]]]:
+    """The distinct primitive irreducible factors g_i and the distinct
+    content primes of the product of the factorized pieces, and every
+    divisor as (h, c, idx) with h = c * prod(g_i for i in idx), in the
+    order of enumerate_divisors."""
     primes = list(dict.fromkeys(q for fac in facs for q, _ in fac.content_primes))
     polys = list(dict.fromkeys(g for fac in facs for g, _ in fac.poly_factors))
     out = []
@@ -140,7 +142,64 @@ def _divisor_products(facs) -> tuple[list[IntPoly], list[tuple[IntPoly, int, tup
                     out.append((h, c, idx))
                     out.append((-h, -c, idx))
     out.sort(key=lambda d: (d[0].degree, abs(d[0].lc), d[0].lc < 0, d[0].coeffs))
-    return polys, out
+    return polys, primes, out
+
+
+def _coprime_base(values: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which each positive value is a
+    product, found by gcds alone: a base element b and a new x with
+    g = gcd(b, x) > 1 are replaced by g, b/g and x/g until nothing splits.
+    (Bernstein, "Factoring into coprimes in essentially linear time",
+    J. Algorithms 54, 2005, does this in essentially linear time; for the
+    handful of values of one target this quadratic refinement suffices.)"""
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(b, x)
+            if g > 1:
+                del base[i]
+                todo.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _independent_mod_squares(values: list[int], primes: list[int]) -> bool:
+    """Whether the classes of the nonzero integers `values` are linearly
+    independent over F_2 in Q*/Q*^2 modulo W = <-1, primes>.
+
+    Dividing the primes out of |v| leaves the representative of v's class
+    modulo W that is coprime to them.  Over a coprime base of those
+    representatives each is a product of base powers, and the base
+    elements that are not squares have independent classes (each holds a
+    prime to an odd power that no other element holds), so the class is
+    the row of exponent parities on them.  Each row is reduced by the
+    earlier ones, kept in descending order so that their leading bits
+    differ, and a row that reduces to zero is a dependency."""
+    reduced = []
+    for v in values:
+        v = abs(v)
+        for p in primes:
+            while v % p == 0:
+                v //= p
+        reduced.append(v)
+    base = [b for b in _coprime_base(reduced) if exact_isqrt(b) is None]
+    rows: list[int] = []
+    for v in reduced:
+        row = 0
+        for k, b in enumerate(base):
+            while v % b == 0:
+                v //= b
+                row ^= 1 << k
+        for r in rows:
+            row = min(row, row ^ r)
+        if not row:
+            return False
+        rows = sorted(rows + [row], reverse=True)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +245,8 @@ _TARGET_BUILDERS = {
 class Checker:
     """One criterion prepared for one curve.  The constructor factors each
     distinct piece of the targets once and lists every target's divisors;
-    check(t0) then only evaluates them.  Constant targets have no divisors."""
+    check(t0) then only evaluates them, and passes(t0) decides the same
+    verdict without listing any.  Constant targets have no divisors."""
 
     def __init__(self, curve: Curve, condition: str):
         if condition not in CONDITION_NAMES:
@@ -198,14 +258,13 @@ class Checker:
         self.condition = condition
         self.model = curve.coeff_polys()
         self.discriminant = curve.discriminant_poly()
-        # (label, distinct irreducible factors, divisors as (h, c, idx) with
-        # h = c * prod(factors[i] for i in idx))
+        # (label, distinct irreducible factors, distinct content primes,
+        # divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx))
         self.targets = [(label, *_divisor_products([facs[p] for p in pieces]))
                         for label, pieces in built]
 
-    def check(self, t0, stop_early: bool = False) -> ConditionReport:
-        """The criterion at t0; stop_early ends a failing report at its
-        first square divisor value."""
+    def check(self, t0) -> ConditionReport:
+        """The criterion at t0, with every divisor value in the report."""
         t0 = as_rational(t0)
         Dv = self.discriminant(t0)
         report = ConditionReport(
@@ -220,7 +279,7 @@ class Checker:
             report.notes.append("discriminant vanishes at t0: specialization is singular")
             return report
         n, m = t0.numerator, t0.denominator
-        for label, factors, divisors in self.targets:
+        for label, factors, _, divisors in self.targets:
             # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
             values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
             for h, c, idx in divisors:
@@ -229,14 +288,11 @@ class Checker:
                 report.checks.append(DivisorCheck(label, h, value, root))
                 if root is not None:
                     report.passed = False
-                    if stop_early:
-                        return report
         if self.condition == "A1B":
             report.notes.append(
                 "diagnostic only: passing is NOT an injectivity certificate"
             )
-            A, B, C = self.model
-            spec_roots = _q_cubic_roots(A(t0), B(t0), C(t0))
+            spec_roots = self._specialized_cubic_roots(t0)
             a1_passed = report.passed
             b_passed = len(spec_roots) == 0
             report.subresults["A1"] = a1_passed
@@ -247,6 +303,40 @@ class Checker:
                     f"specialized cubic has a rational root {spec_roots[0]}"
                 )
         return report
+
+    def passes(self, t0) -> bool:
+        """check(t0).passed, decided by a rank test instead of a square
+        test per divisor.
+
+        With g_i(t0) = G_i / m^deg(g_i) for t0 = n/m, a divisor's value
+        c * prod(g_i(t0), i in T) has the square class of c times the
+        product of the v_i = G_i * m^(deg g_i mod 2) over T.  So a target
+        passes exactly when no v_i is 0 and the classes of the v_i are
+        independent in Q*/Q*^2 modulo the span W of -1 and its content
+        primes.  A1B also fails at every t0 when its cubic has a root in
+        Q(t), which is found once per Checker, on the first call."""
+        t0 = as_rational(t0)
+        if self.condition == "A1B" and self._cubic_has_qt_root:
+            return False
+        n, m = t0.numerator, t0.denominator
+        if _horner_homogeneous(self.discriminant.coeffs, n, m) == 0:
+            return False
+        for _, factors, primes, _ in self.targets:
+            values = [_horner_homogeneous(g.coeffs, n, m) * (m if g.degree % 2 else 1)
+                      for g in factors]
+            if 0 in values or not _independent_mod_squares(values, primes):
+                return False
+        return self.condition != "A1B" or not self._specialized_cubic_roots(t0)
+
+    @cached_property
+    def _cubic_has_qt_root(self) -> bool:
+        """Whether x^3 + A x^2 + B x + C has a root in Q(t).  Such a root r
+        lies in Z[t], so r(t0) is a rational root of every specialized cubic."""
+        return bool(_qt_cubic_roots(*self.model))
+
+    def _specialized_cubic_roots(self, t0: Fraction) -> list[Fraction]:
+        A, B, C = self.model
+        return _q_cubic_roots(A(t0), B(t0), C(t0))
 
 
 def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionReport:
@@ -282,12 +372,17 @@ def find_t0(
     budget: SearchBudget = SearchBudget(),
 ) -> ConditionReport:
     """First t0 in the documented enumeration order passing the given
-    criterion; raises BudgetExhausted when none is found in budget."""
+    criterion; raises BudgetExhausted when none is found in budget.
+
+    Each candidate is decided by Checker.passes, and the full report of
+    Checker.check is built once, for the t0 returned, so it is the same
+    report and certificate that check_condition gives at that t0."""
     checker = Checker(curve, condition)
     for t0 in t0_candidates(budget):
-        # stop_early only cuts a failing report short, so a pass is complete
-        report = checker.check(t0, stop_early=True)
-        if report.passed:
+        if checker.passes(t0):
+            report = checker.check(t0)
+            if not report.passed:
+                raise AssertionError(f"rank test and divisor enumeration disagree at t0={t0}")
             return report
     raise BudgetExhausted(
         f"no t0 passing condition {condition} within {budget} (not a disproof)"

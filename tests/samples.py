@@ -128,3 +128,34 @@ def random_c0_curve_with_point(rng: random.Random):
         P = Point(RatFunc(x0), RatFunc(x0 * u))
         assert curve.contains(P)
         return curve, P
+
+
+def integral_model(curve: Curve) -> Curve:
+    """The model y^2 = x^3 + dA x^2 + d^2B x + d^3C over Z[t], with d the
+    product of the denominators of A, B and C."""
+    d = curve.A.den * curve.B.den * curve.C.den
+    A, B, C = (RatFunc(d**k * f.num, f.den) for k, f in ((1, curve.A), (2, curve.B), (3, curve.C)))
+    return Curve(A, B, C)
+
+
+def random_two_torsion_curve(rng: random.Random) -> Curve:
+    """y^2 = (x - r)(x^2 + p x + q) with r, p, q in Z[t]: the cubic has the
+    root r in Z[t], so every specialized cubic has the rational root r(t0)."""
+    while True:
+        r, p, q = (_small_poly(rng, max_deg=d, max_coeff=3) for d in (1, 1, 2))
+        try:
+            return Curve(RatFunc(p - r), RatFunc(q - p * r), RatFunc(-(q * r)))
+        except ValueError:  # singular
+            continue
+
+
+def sample_curve(kind: str, rng: random.Random) -> Curve:
+    """A random curve over Z[t] of one kind: "split", "C=0", "general", or
+    "two_torsion" (a root in Z[t])."""
+    if kind == "split":
+        return random_split_curve_with_point(rng)[0]
+    if kind == "C=0":
+        return random_c0_curve_with_point(rng)[0]
+    if kind == "two_torsion":
+        return random_two_torsion_curve(rng)
+    return integral_model(random_qt_curve_with_points(rng)[0])

@@ -27,11 +27,7 @@ from ellspec.intpoly import IntPoly, poly_sqrt, squarefree_decompose
 from ellspec.parsing import ParseError, parse_curve
 from ellspec.ratfunc import RatFunc
 from ellspec.specialize import homomorphism_check, specialize_curve, specialize_point
-from samples import (
-    random_c0_curve_with_point,
-    random_qt_curve_with_points,
-    random_split_curve_with_point,
-)
+from samples import random_c0_curve_with_point, random_split_curve_with_point, sample_curve
 
 T = IntPoly.monomial(1, 1)
 t = RatFunc(T)
@@ -121,14 +117,6 @@ _CHECKER_CASES = [("split", "A"), ("split", "Aprime"), ("split", "A1B"),
                   ("C=0", "scriptA"), ("C=0", "A1B"), ("general", "A1B")]
 
 
-def _sample_curve(kind: str, rng: random.Random) -> Curve:
-    if kind == "split":
-        return random_split_curve_with_point(rng)[0]
-    if kind == "C=0":
-        return random_c0_curve_with_point(rng)[0]
-    return _integral_model(random_qt_curve_with_points(rng)[0])
-
-
 @pytest.mark.parametrize("kind,condition", _CHECKER_CASES)
 def test_checker_factors_once_then_only_evaluates(monkeypatch, kind, condition):
     rng = random.Random(f"checker {kind} {condition}")
@@ -137,7 +125,7 @@ def test_checker_factors_once_then_only_evaluates(monkeypatch, kind, condition):
     monkeypatch.setattr(conditions, "factor", lambda p: factored.append(p) or factor(p))
     built = 0
     while built < 3:
-        curve = _sample_curve(kind, rng)
+        curve = sample_curve(kind, rng)
         factored.clear()
         try:
             checker = Checker(curve, condition)
@@ -399,14 +387,6 @@ def test_divisor_values_are_exact():
         assert (chk.square_root is None) == (is_square_rat(chk.value) is None)
 
 
-def _integral_model(curve: Curve) -> Curve:
-    """The model y^2 = x^3 + dA x^2 + d^2B x + d^3C over Z[t], with d the
-    product of the denominators of A, B and C."""
-    d = curve.A.den * curve.B.den * curve.C.den
-    A, B, C = (RatFunc(d**k * f.num, f.den) for k, f in ((1, curve.A), (2, curve.B), (3, curve.C)))
-    return Curve(A, B, C)
-
-
 def _fraction_horner(h: IntPoly, t0: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(h.coeffs):
@@ -426,7 +406,7 @@ def test_divisor_values_are_divisors_at_t0(kind):
             curve, _ = random_c0_curve_with_point(rng)
             condition = "scriptA"
         else:
-            curve = _integral_model(random_qt_curve_with_points(rng)[0])
+            curve = sample_curve("general", rng)
             condition = "A1B"
         try:
             for t0 in (Fraction(2), Fraction(-3, 5), Fraction(7, 4)):
