@@ -203,7 +203,7 @@ class Curve:
         if self.field == "Q":
             roots = _q_cubic_roots(self.A, self.B, self.C)
         else:
-            roots = [RatFunc(X.num, self._model_den) for X in _qt_cubic_roots(*self._model)]
+            roots = [RatFunc(X, self._model_den) for X in _qt_cubic_roots(*self._model)]
         zero = self._element(0)
         return [O] + [self._proven(e, zero) for e in roots]
 
@@ -280,7 +280,7 @@ def _q_cubic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:
     return [Fraction(y, d) for y in ys]
 
 
-def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[RatFunc]:
+def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[IntPoly]:
     """Roots in Q(t) of monic x^3 + A x^2 + B x + C with Z[t] coefficients.
 
     Such roots are integral over Z[t], hence lie in Z[t], and each nonzero
@@ -292,9 +292,9 @@ def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[RatFunc]:
     """
     L = next(f for f in (C, B, A) if not f.is_zero)
     N = 2 * _mignotte_bound(L) + 1
-    roots: list[RatFunc] = []
+    roots: list[IntPoly] = []
     for rho in _int_cubic_roots(*(_horner(f.coeffs, N) for f in (A, B, C))):
         r = _from_balanced_digits(rho, N)
         if r * r * r + A * r * r + B * r + C == 0:
-            roots.append(RatFunc(r))
+            roots.append(r)
     return roots

@@ -6,8 +6,11 @@ lifting up to the Mignotte coefficient bound, then subset recombination.
 Lifting and recombination work on the same residue lists as the GF(p)
 stage, modulo p^k; a candidate factor becomes an IntPoly only once it is
 tested against the bound.
-Degrees in this project stay at or below 14, so the exponential
-recombination step is harmless.
+Recombination tries subsets of the modular factors, so its cost is
+exponential in their number, and nothing bounds it yet: `factor` takes
+any degree the parser admits (up to parsing.MAX_DEGREE = 1000), and the
+Swinnerton-Dyer polynomial of degree 64, with 32 modular factors modulo
+every prime tried, did not finish in 120 s.
 """
 
 from __future__ import annotations

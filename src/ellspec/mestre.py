@@ -104,7 +104,7 @@ def build(a, b) -> MestreInstance:
         raise AssertionError("twist polynomial must be squarefree of degree 14")
 
     rg = RatFunc(g)
-    curve = Curve(RatFunc(0), ai * rg * rg, bi * rg * rg * rg)
+    curve = Curve(0, ai * g * g, bi * g * g * g)
 
     ratio = Fraction(-bi, ai) * RatFunc(_T4T21, _T2P1)
     P = curve.point(ratio * rg, rg * rg / (ai * ai * _T2P1 * _T2P1))
@@ -165,10 +165,10 @@ def injectivity_report(instance: MestreInstance, t0) -> ConditionReport:
         return check_condition(instance.curve, "A1B", t0)
     r = roots[0]
     if len(roots) == 3:
-        e2, e3 = (RatFunc((s - r) * g) for s in (roots[2], roots[1]))
-        split = Curve.from_roots(RatFunc(0), e2, e3)
+        e2, e3 = ((s - r) * g for s in (roots[2], roots[1]))
+        split = Curve.from_roots(0, e2, e3)
         return check_condition(split, "A", t0)
-    shifted = Curve(RatFunc(3 * r * g), RatFunc((3 * r * r + a) * g * g), RatFunc(0))
+    shifted = Curve(3 * r * g, (3 * r * r + a) * g * g, 0)
     return check_condition(shifted, "scriptA", t0)
 
 

@@ -240,7 +240,7 @@ def parse_poly(text: str) -> IntPoly:
 def _parse_integral(text: str) -> RatFunc:
     """An element of Z[t], parsed and kept as an element of Q(t)."""
     value = parse_ratfunc(text)
-    if value.den != _ONE:
+    if value.den != 1:
         raise ParseError(f"{text.strip()!r} is not a polynomial over Z", 0)
     return value
 

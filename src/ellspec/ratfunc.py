@@ -20,10 +20,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num, num_den = self._lift(num)
-        den_num, den_den = self._lift(den)
-        n = num * den_den
-        d = num_den * den_num
+        """num / den for num, den in Z[t] (int or IntPoly), reduced."""
+        n = IntPoly.coerce(num)
+        d = IntPoly.coerce(den)
         if d.is_zero:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if n.is_zero:
@@ -37,20 +36,6 @@ class RatFunc:
                 n, d = -n, -d
             self.num = n
             self.den = d
-
-    @staticmethod
-    def _lift(value):
-        """int/Fraction/IntPoly/RatFunc as a (numerator, denominator) pair
-        in Z[t]."""
-        if isinstance(value, RatFunc):
-            return (value.num, value.den)
-        if isinstance(value, IntPoly):
-            return (value, IntPoly.const(1))
-        if isinstance(value, int):
-            return (IntPoly.const(value), IntPoly.const(1))
-        if isinstance(value, Fraction):
-            return (IntPoly.const(value.numerator), IntPoly.const(value.denominator))
-        raise TypeError(f"cannot interpret {value!r} as an element of Q(t)")
 
     # -- queries -------------------------------------------------------
 
@@ -68,11 +53,11 @@ class RatFunc:
     def as_fraction(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return Fraction(self.num.lc, self.den.lc if self.den.coeffs else 1)
+        return Fraction(self.num.lc, self.den.lc)
 
     def as_poly(self) -> IntPoly:
         """The underlying Z[t] element; raises when not integral."""
-        if self.den != IntPoly.const(1):
+        if self.den != 1:
             raise ValueError(f"{self} is not in Z[t]")
         return self.num
 
@@ -80,9 +65,14 @@ class RatFunc:
 
     @classmethod
     def _coerce(cls, other) -> "RatFunc":
+        """An int, Fraction, IntPoly or RatFunc as an element of Q(t)."""
         if isinstance(other, RatFunc):
             return other
-        return cls(other)
+        if isinstance(other, Fraction):
+            return cls(other.numerator, other.denominator)
+        if isinstance(other, (int, IntPoly)):
+            return cls(other)
+        raise TypeError(f"cannot interpret {other!r} as an element of Q(t)")
 
     def __add__(self, other):
         try:
@@ -141,7 +131,7 @@ class RatFunc:
 
     def __hash__(self) -> int:
         # the hash of the IntPoly, int or Fraction it equals, if any
-        if self.den == IntPoly.const(1):
+        if self.den == 1:
             return hash(self.num)
         if self.is_constant:
             return hash(self.as_fraction())
@@ -168,7 +158,7 @@ class RatFunc:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == IntPoly.const(1):
+        if self.den == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

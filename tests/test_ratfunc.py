@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ellspec.intpoly import IntPoly
+from ellspec.intpoly import IntPoly, poly_gcd
 from ellspec.ratfunc import RatFunc
 
 T = IntPoly.monomial(1, 1)
@@ -23,13 +23,37 @@ def test_canonical_form():
     assert RatFunc(2 * T + 2, 4) == RatFunc(T + 1, 2)
 
 
+def test_construction_multiplies_only_inside_the_gcd(monkeypatch):
+    """RatFunc(n, d) makes as many IntPoly products as poly_gcd(n, d)."""
+    n = (T + 1) * (T**2 - 3) * (2 * T - 5)
+    d = (T + 1) * (T**3 + T + 7)
+    calls = []
+    mul = IntPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counted)
+    monkeypatch.setattr(IntPoly, "__rmul__", counted)
+    poly_gcd(n, d)
+    in_gcd = len(calls)
+    calls.clear()
+    RatFunc(n, d)
+    assert len(calls) == in_gcd
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(T, IntPoly())
 
 
 def test_coercion():
-    assert RatFunc(Fraction(3, 4)) == RatFunc(3, 4)
+    for value in (Fraction(3, 4), t):
+        with pytest.raises(TypeError):
+            RatFunc(value)  # the constructor takes Z[t] parts only
+    assert RatFunc._coerce(Fraction(3, 4)) == RatFunc(3, 4)
+    assert Fraction(3, 4) + RatFunc(0) == RatFunc(3, 4)
     assert t + 1 == RatFunc(T + 1)
     assert 1 - t == RatFunc(1 - T)
     assert Fraction(1, 2) * t == RatFunc(T, 2)
