@@ -64,7 +64,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 class FactorBudgetError(ValueError):
-    """Pollard rho found no factor of a composite within _RHO_BUDGET steps."""
+    """A factorization ran past its budget: Pollard rho's _RHO_BUDGET steps,
+    or the subsets of factorize._RECOMBINATION_BUDGET."""
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
