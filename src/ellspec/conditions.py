@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .curves import Curve, _q_cubic_roots, _qt_cubic_roots
+from .curves import Curve, _q_cubic_roots
 from .factorize import factor
 from .intmath import as_rational, exact_isqrt, is_square_rat, parse_rational, rational_text
-from .intpoly import IntPoly, _horner_homogeneous, poly_sqrt
+from .intpoly import IntPoly, _horner_homogeneous
 from .parsing import _parse_integral
 
 __all__ = [
@@ -222,12 +222,12 @@ def _one_torsion_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
     A, B, C = curve.coeff_polys()
     if not C.is_zero:
         raise ValueError("model must be y^2 = x^3 + A x^2 + B x (C = 0)")
-    quad_disc = A * A - 4 * B
-    if poly_sqrt(quad_disc) is not None:
+    # (0, 0) is one 2-torsion point; the roots of x^2 + A x + B give the others
+    if len(curve.two_torsion()) != 2:
         raise ValueError(
             "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A"
         )
-    return [("B", (B,)), ("A^2-4B", (quad_disc,))]
+    return [("B", (B,)), ("A^2-4B", (A * A - 4 * B,))]
 
 
 def _discriminant_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
@@ -332,7 +332,7 @@ class Checker:
     def _cubic_has_qt_root(self) -> bool:
         """Whether x^3 + A x^2 + B x + C has a root in Q(t).  Such a root r
         lies in Z[t], so r(t0) is a rational root of every specialized cubic."""
-        return bool(_qt_cubic_roots(*self.model))
+        return len(self.curve.two_torsion()) > 1
 
     def _specialized_cubic_roots(self, t0: Fraction) -> list[Fraction]:
         A, B, C = self.model

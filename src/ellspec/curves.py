@@ -230,18 +230,21 @@ class Curve:
 def _int_cubic_roots(a: int, b: int, c: int) -> list[int]:
     """Distinct integer roots, ascending, of y^3 + a y^2 + b y + c.
 
-    Every root lies within the Cauchy bound M = 1 + max(|a|, |b|, |c|).
-    With s = isqrt(a^2 - 3b) the integers y split into 3y < -a - s,
-    -a - s <= 3y <= -a + s and 3y > -a + s; the critical points
-    (-a -+ sqrt(a^2 - 3b))/3 lie in the middle part, so the cubic is
-    strictly monotone on each part and exact bisection finds its only
-    possible root there.  When a^2 - 3b <= 0 it is monotone throughout.
+    Every root y has |y| <= 2 max(|a|, |b|^(1/2), |c|^(1/3)) (Fujiwara,
+    1916), which is below M = 2^(K+1) for K the least integer with |a|,
+    |b|^(1/2) and |c|^(1/3) all below 2^K.  With s = isqrt(a^2 - 3b) the
+    integers y split into 3y < -a - s, -a - s <= 3y <= -a + s and
+    3y > -a + s; the critical points (-a -+ sqrt(a^2 - 3b))/3 lie in the
+    middle part, so the cubic is strictly monotone on each part and exact
+    bisection finds its only possible root there.  When a^2 - 3b <= 0 it
+    is monotone throughout.
     """
 
     def f(y: int) -> int:
         return ((y + a) * y + b) * y + c
 
-    M = 1 + max(abs(a), abs(b), abs(c))
+    K = max(abs(a).bit_length(), (abs(b).bit_length() + 1) // 2, (abs(c).bit_length() + 2) // 3)
+    M = 2 << K
     disc = a * a - 3 * b
     if disc <= 0:
         pieces = [(-M, M, 1)]

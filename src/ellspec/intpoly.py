@@ -12,14 +12,11 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
-from .intmath import exact_isqrt
-
 __all__ = [
     "IntPoly",
     "cubic_discriminant",
     "poly_gcd",
     "squarefree_decompose",
-    "poly_sqrt",
 ]
 
 
@@ -414,18 +411,3 @@ def squarefree_decompose(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]
         d = c - b.derivative()
         i += 1
     return unit, content, out
-
-
-def poly_sqrt(p: IntPoly) -> IntPoly | None:
-    """Exact square root in Z[t], with lc > 0, when p is a perfect square,
-    else None: the content must be a square and every Yun multiplicity
-    even."""
-    if p.is_zero:
-        return IntPoly()
-    if p.lc < 0:
-        return None
-    _, content, parts = squarefree_decompose(p)
-    root = exact_isqrt(content)
-    if root is None or any(m % 2 for _, m in parts):
-        return None
-    return math.prod((d ** (m // 2) for d, m in parts), start=IntPoly.const(root))

@@ -25,9 +25,9 @@ from .conditions import (
     _certificate_doc,
     check_condition,
 )
-from .curves import Curve, Point, _int_cubic_roots
+from .curves import Curve, Point
 from .intmath import as_rational, factor_int
-from .intpoly import IntPoly, squarefree_decompose
+from .intpoly import IntPoly, poly_gcd, squarefree_decompose
 from .ratfunc import RatFunc
 
 __all__ = [
@@ -116,13 +116,17 @@ def build(a, b) -> MestreInstance:
 
 
 def morphism_degree(instance: MestreInstance, T: Point) -> int:
-    """deg of x(T)/g as a morphism to the projective line; 0 for torsion."""
+    """deg of x(T)/g as a morphism to the projective line; 0 for torsion.
+
+    x(T) = n/d is reduced, so n/(d g) reduces by h = gcd(n, g) alone and
+    the degree is max(deg n, deg d + deg g) - deg h."""
     if T.is_infinity:
         return 0
-    ratio = instance.curve._require(T).x / RatFunc(instance.g)
-    if ratio.is_zero:
+    x = instance.curve._require(T).x
+    if x.is_zero:
         return 0
-    return ratio.map_degree()
+    n, d, g = x.num, x.den, instance.g
+    return max(n.degree, d.degree + g.degree) - poly_gcd(n, g).degree
 
 
 def pairing(instance: MestreInstance, T: Point, S: Point) -> Fraction:
@@ -160,7 +164,7 @@ def injectivity_report(instance: MestreInstance, t0) -> ConditionReport:
     discriminant diagnostic is available.
     """
     a, g = instance.a, instance.g
-    roots = _int_cubic_roots(0, a, instance.b)
+    roots = [int(P.x) for P in Curve(0, a, instance.b).two_torsion()[1:]]
     if not roots:
         return check_condition(instance.curve, "A1B", t0)
     r = roots[0]

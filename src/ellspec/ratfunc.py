@@ -137,15 +137,6 @@ class RatFunc:
             return hash(self.as_fraction())
         return hash((self.num, self.den))
 
-    # -- the degree-as-height map ----------------------------------------
-
-    def map_degree(self) -> int:
-        """Degree of the induced morphism to the projective line:
-        max(deg num, deg den) in canonical form."""
-        if self.is_zero:
-            raise ValueError("the zero function has no map degree")
-        return max(self.num.degree, self.den.degree)
-
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t0) -> Fraction | None:

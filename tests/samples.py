@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 
 from ellspec.curves import Curve, Point
-from ellspec.intpoly import IntPoly
+from ellspec.intmath import exact_isqrt
+from ellspec.intpoly import IntPoly, squarefree_decompose
 from ellspec.ratfunc import RatFunc
 
 T = IntPoly.monomial(1, 1)
@@ -21,6 +22,15 @@ def in_field(curve, P) -> bool:
     field: Fraction over Q, RatFunc over Q(t)."""
     field = RatFunc if curve.field == "Q(t)" else Fraction
     return P.is_infinity or (type(P.x) is field and type(P.y) is field)
+
+
+def is_square_poly(p: IntPoly) -> bool:
+    """p is a square in Z[t]: zero, or a positive unit, a square content
+    and even multiplicities in its squarefree decomposition."""
+    if p.is_zero:
+        return True
+    unit, content, parts = squarefree_decompose(p)
+    return unit == 1 and exact_isqrt(content) is not None and all(m % 2 == 0 for _, m in parts)
 
 
 def curve_through(points):

@@ -20,12 +20,12 @@ from ellspec.conditions import (
 from ellspec.curves import O, Point
 from ellspec.descent import dual_curve, isogeny_phi, isogeny_psi
 from ellspec.factorize import factor
-from ellspec.intmath import exact_isqrt
 from ellspec.intpoly import IntPoly, squarefree_decompose
 from ellspec.parsing import parse_curve, parse_poly
 from ellspec.ratfunc import RatFunc
 from ellspec.specialize import relation_search, specialize_curve, specialize_point
 from samples import (
+    is_square_poly,
     random_c0_curve_with_point,
     random_q_curve_with_points,
     random_qt_curve_with_points,
@@ -44,12 +44,8 @@ def _report(capfd, n: int, label: str, passed: bool) -> None:
 
 
 def _is_square(f: RatFunc) -> bool:
-    """f is a square in Q(t): num * den has a square content, a positive
-    sign and even multiplicities in its squarefree decomposition."""
-    if f.is_zero:
-        return True
-    unit, content, parts = squarefree_decompose(f.num * f.den)
-    return unit == 1 and exact_isqrt(content) is not None and all(m % 2 == 0 for _, m in parts)
+    """f is a square in Q(t): num * den is a square in Z[t]."""
+    return is_square_poly(f.num * f.den)
 
 
 def test_criterion_1_split_condition_separation(capfd):

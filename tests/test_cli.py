@@ -51,6 +51,13 @@ def test_check_pass_and_fail_exit_codes(capsys):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("text", ["y^2 = x^3 - t^2*x", "y^2 = x^3 + 3*t*x^2 + 2*t^2*x"])
+def test_script_a_on_a_split_cubic_exits_2(capsys, text):
+    code, out, err = run(capsys, "check", "--condition", "scriptA", "--curve", text, "--t0", "3")
+    assert code == 2 and out == ""
+    assert "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A" in err
+
+
 def test_check_split_condition(capsys):
     code, out, _ = run(
         capsys, "check", "--condition", "Aprime",

@@ -23,11 +23,16 @@ from ellspec.conditions import (
 from ellspec.curves import Curve, O
 from ellspec.factorize import factor
 from ellspec.intmath import factor_int, is_square_rat
-from ellspec.intpoly import IntPoly, poly_sqrt, squarefree_decompose
+from ellspec.intpoly import IntPoly, squarefree_decompose
 from ellspec.parsing import ParseError, parse_curve
 from ellspec.ratfunc import RatFunc
 from ellspec.specialize import homomorphism_check, specialize_curve, specialize_point
-from samples import random_c0_curve_with_point, random_split_curve_with_point, sample_curve
+from samples import (
+    is_square_poly,
+    random_c0_curve_with_point,
+    random_split_curve_with_point,
+    sample_curve,
+)
 
 T = IntPoly.monomial(1, 1)
 t = RatFunc(T)
@@ -66,7 +71,7 @@ def test_enumerate_divisors_are_squarefree_nonconstant():
         assert all(m == 1 for _, m in parts)
     # no two divisors share a square class: a/b is not a square in Q(t)
     for a, b in itertools.combinations(divs, 2):
-        assert poly_sqrt(a * b) is None
+        assert not is_square_poly(a * b)
 
 
 def test_enumerate_divisors_rejects_zero():
@@ -191,8 +196,13 @@ def test_one_torsion_rejects_wrong_shape():
     with pytest.raises(ValueError):
         check_condition(parse_curve("y^2 = x^3 - x + 1"), "scriptA", 2)
     # split quadratic part must be routed to condition A instead
-    with pytest.raises(ValueError):
-        check_condition(parse_curve("y^2 = x^3 + 5*t*x^2 + 4*t^2*x"), "scriptA", 2)
+    for text in ("y^2 = x^3 + 5*t*x^2 + 4*t^2*x", "y^2 = x^3 - t^2*x",
+                 "y^2 = x^3 + 3*t*x^2 + 2*t^2*x"):
+        with pytest.raises(ValueError) as refused:
+            check_condition(parse_curve(text), "scriptA", 2)
+        assert str(refused.value) == (
+            "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A"
+        )
 
 
 def test_diagnostic_is_never_certifying():

@@ -81,6 +81,8 @@ int_cubics = st.one_of(
 @example((0, 0, 0))  # y^3
 @example((1, 1, 1))  # a^2 < 3b: monotone everywhere, root -1
 @example((-6, 11, -6))  # roots 1, 2, 3 between and beside the critical points
+# (y - 25)(y + 5)^2: the root 25 lies between 2^K = 16 and the bound M = 2^(K+1)
+@example((-15, -225, -625))
 def test_int_cubic_roots_match_sympy(abc):
     a, b, c = abc
     roots = _int_cubic_roots(a, b, c)

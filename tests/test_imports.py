@@ -3,17 +3,19 @@ module-level private name of the package, every name in a module's
 __all__ and every method of a class in the package (as an attribute) is
 read outside its own definition by the program: the package, bench/*.py
 or a function that bench/tracing.py wraps by name.  A test does not
-count as a caller, so library code that only tests call is dead; two
-names are kept without a caller, each for a stated reason.  No module of
-the package holds an assert statement, since python -O strips them.
+count as a caller, so library code that only tests call is dead; one
+name is kept without a caller, for a stated reason.  No module of the
+package holds an assert statement, since python -O strips them.
 
 Only curves and ratfunc take values into Q(t) (a curve fixes the field
 of its coefficients and points once), so no other module of the package
-reads RatFunc's _coerce or _lift.  In parsing, only _tokenize reads the
-raw text: no other function slices it with string methods or re.  The
-package has one schoolbook product loop, intpoly._mul_coeffs, one
-trailing-zero loop, intpoly._trim, and one square-and-multiply loop,
-intpoly._power.
+reads RatFunc's _coerce or _lift.  Only curves reads the cubic root
+finders, so Curve.two_torsion alone decides a curve's rational 2-torsion;
+conditions may read _q_cubic_roots for A1B's per-t0 test.  In parsing,
+only _tokenize reads the raw text: no other function slices it with
+string methods or re.  The package has one schoolbook product loop,
+intpoly._mul_coeffs, one trailing-zero loop, intpoly._trim, and one
+square-and-multiply loop, intpoly._power.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead code.  An imported name
@@ -181,8 +183,6 @@ def test_every_private_name_is_used():
 
 # Public names that nothing in the program or the bench calls, kept on purpose.
 KEPT_WITHOUT_CALLER = {
-    "curves.Curve.two_torsion": "the only way to find the Q(t)-rational 2-torsion point "
-    "that the paper's criteria assume; a sympy oracle checks it",
     "descent.isogeny_psi": "the dual isogeny: psi(phi(P)) = 2P checks the 2-isogeny pair "
     "that a descent for the specialized rank would use",
 }
@@ -371,6 +371,41 @@ def test_the_coercion_scan_flags_readers_outside_the_gates():
         "mestre": ast.parse("def _coerce(v):\n    return v\nx = _coerce(T.x)\n"),
     }
     assert _coercing_modules(program) == ["specialize", "descent"]
+
+
+ROOT_FINDERS = {"_int_cubic_roots", "_qt_cubic_roots", "_q_cubic_roots"}
+# Only conditions may read _q_cubic_roots: the per-t0 test of A1B's "B".
+ROOT_READERS = {"conditions": {"_q_cubic_roots"}}
+
+
+def _root_finder_readers(program: dict[str, ast.Module]) -> list[str]:
+    """module.name for each cubic root finder that a module other than
+    curves loads, as a name or an attribute, unless ROOT_READERS allows it."""
+    return [
+        f"{module}.{name}"
+        for module, tree in program.items()
+        if module != "curves"
+        for name in sorted(ROOT_FINDERS & _loaded_names(tree) - ROOT_READERS.get(module, set()))
+    ]
+
+
+def test_only_curves_reads_the_cubic_root_finders():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _root_finder_readers(program) == []
+
+
+def test_the_root_finder_scan_flags_readers_outside_curves(package_tree):
+    planted = {
+        "curves": "def _int_cubic_roots(a, b, c):\n    return []\n"
+        "def _qt_cubic_roots(A, B, C):\n    return _int_cubic_roots(A, B, C)\n",
+        "conditions": "from .curves import _q_cubic_roots, _qt_cubic_roots\n"
+        "roots = _q_cubic_roots(A, B, C) + _qt_cubic_roots(*model)\n",
+        "mestre": "from . import curves\nroots = curves._int_cubic_roots(0, a, b)\n",
+    }
+    for module, text in planted.items():
+        (package_tree / f"src/ellspec/{module}.py").write_text(text, encoding="utf-8")
+    program, _ = _program_and_callers(package_tree)
+    assert _root_finder_readers(program) == ["conditions._qt_cubic_roots", "mestre._int_cubic_roots"]
 
 
 STRING_SLICERS = {"split", "rsplit", "index", "find", "startswith", "replace"}

@@ -8,7 +8,6 @@ from ellspec.intpoly import (
     IntPoly,
     cubic_discriminant,
     poly_gcd,
-    poly_sqrt,
     squarefree_decompose,
 )
 
@@ -132,18 +131,6 @@ def test_squarefree_decompose_recomposes(p):
     for d, m in parts:
         prod = prod * d**m
     assert prod == p
-
-
-def test_poly_sqrt():
-    assert poly_sqrt((3 * T**2 - T + 2) ** 2) == 3 * T**2 - T + 2
-    assert poly_sqrt(T**2 - 1) is None
-    assert poly_sqrt(-((T + 1) ** 2)) is None
-    assert poly_sqrt(IntPoly()) == IntPoly()
-    # square of a negative-leading polynomial: root reported with lc > 0
-    assert poly_sqrt((1 - T) ** 2) == T - 1
-    # the content must be a square too
-    assert poly_sqrt(4 * (T + 1) ** 2) == 2 * (T + 1)
-    assert poly_sqrt(12 * (T + 1) ** 2) is None
 
 
 def test_cubic_discriminant_matches_definition():

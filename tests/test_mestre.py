@@ -96,6 +96,29 @@ def test_morphism_degrees():
     assert mestre.morphism_degree(inst, O) == 0
 
 
+def _reduced_ratio_degree(inst, T) -> int:
+    """The max of the degrees of the reduced x(T)/g; 0 for O and x = 0."""
+    if T.is_infinity or T.x.is_zero:
+        return 0
+    ratio = T.x / RatFunc(inst.g)
+    return max(ratio.num.degree, ratio.den.degree)
+
+
+def test_morphism_degree_is_the_degree_of_the_reduced_ratio():
+    for a, b in ((1, 1), (2, 12)):
+        inst = mestre.build(a, b)
+        curve = inst.curve
+        points = {(1, 0): inst.P, (0, 1): inst.Q}
+        for total, left, right in _CHAIN:
+            points[total] = curve.add(points[left], points[right])
+        for m, n in ((3, -1), (-2, 3), (1, -1)):
+            points[m, n] = curve.add(curve.scalar_mul(m, inst.P), curve.scalar_mul(n, inst.Q))
+        for T in [O, *curve.two_torsion(), *points.values()]:
+            assert mestre.morphism_degree(inst, T) == _reduced_ratio_degree(inst, T)
+        for (m, n), T in points.items():
+            assert mestre.morphism_degree(inst, T) == 4 * (m * m + n * n)
+
+
 def test_pairing_is_symmetric_and_even():
     inst = mestre.build(2, 12)
     P, Q = inst.P, inst.Q

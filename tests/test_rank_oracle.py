@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ellspec import conditions
 from ellspec.conditions import (
     BudgetExhausted,
     Checker,
@@ -190,10 +189,11 @@ def test_two_torsion_curves_fail_the_cubic_test_everywhere():
 
 
 def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
+    """A1B asks Curve.two_torsion once per search and never in a report;
+    scriptA asks it once per Checker, for its one-torsion hypothesis."""
     calls = []
-    qt_cubic_roots = conditions._qt_cubic_roots
-    monkeypatch.setattr(conditions, "_qt_cubic_roots",
-                        lambda *model: calls.append(model) or qt_cubic_roots(*model))
+    two_torsion = Curve.two_torsion
+    monkeypatch.setattr(Curve, "two_torsion", lambda self: calls.append(self) or two_torsion(self))
     curve = parse_curve("y^2 = x^3 + t*x^2 + x + t")  # the root -t
     with pytest.raises(BudgetExhausted):
         find_t0(curve, "A1B", SearchBudget(6, 3))
@@ -201,17 +201,16 @@ def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
     find_t0(parse_curve("e=(0, t, 7*t+1)"), "A", SearchBudget(30, 6))
     assert len(calls) == 1
 
-    def refuse(*model):
-        raise AssertionError("the report looked for a root in Q(t)")
-
-    monkeypatch.setattr(conditions, "_qt_cubic_roots", refuse)
-    for text, condition in [("y^2 = x^3 + t*x^2 + x + t", "A1B"),
-                            ("y^2 = x^3 - x + t^2", "A1B"),
-                            ("y^2 = x^3 + t^2*x^2 - x", "scriptA")]:
+    for text, condition, per_checker in [("y^2 = x^3 + t*x^2 + x + t", "A1B", 0),
+                                         ("y^2 = x^3 - x + t^2", "A1B", 0),
+                                         ("y^2 = x^3 + t^2*x^2 - x", "scriptA", 1)]:
         for t0 in (0, 2, Fraction(-3, 5)):
+            calls.clear()
             report = check_condition(parse_curve(text), condition, t0)
+            assert len(calls) == per_checker
             matches, _ = replay_certificate(certificate_to_json(report))
             assert matches
+            assert len(calls) == 2 * per_checker
 
 
 def test_a_returned_report_that_fails_is_an_invariant_error(monkeypatch):

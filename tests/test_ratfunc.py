@@ -80,12 +80,6 @@ def test_evaluation_and_poles():
     assert g(2) == 4
 
 
-def test_map_degree():
-    assert RatFunc(T**3 + 1, T).map_degree() == 3
-    assert RatFunc(T, T**5 + T + 1).map_degree() == 5
-    assert RatFunc(7).map_degree() == 0
-
-
 def test_as_poly_and_as_fraction():
     assert RatFunc(T**2 - 1).as_poly() == T**2 - 1
     with pytest.raises(ValueError):

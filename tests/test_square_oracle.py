@@ -1,16 +1,24 @@
 """The square kernel against sympy, used here only as an oracle.
 
-squarefree_decompose is compared with sympy's sqf_list.  poly_sqrt is
-compared with squareness read off sympy's factor_list, a full
-factorization, so the oracle does not share the Yun decomposition under
-test.  Inputs plant squares f^2 * c next to random polynomials, with
-zero, constants, negative leading coefficients and contents up to 2^64.
+squarefree_decompose is compared with sympy's sqf_list.  The scriptA
+criterion, which needs exactly one rational 2-torsion point, is checked
+to refuse a C = 0 curve exactly when A^2 - 4B is a square, read off
+sympy's factor_list, a full factorization, so the oracle shares no code
+with the program.  Inputs plant squares f^2 * c next to random
+polynomials, with zero, constants, negative leading coefficients and
+contents up to 2^64, and split quadratics x^2 + Ax + B next to sample
+C = 0 curves.
 """
 
-import pytest
-from hypothesis import example, given, settings, strategies as st
+import random
 
-from ellspec.intpoly import IntPoly, poly_sqrt, squarefree_decompose
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from ellspec.conditions import Checker
+from ellspec.curves import Curve, SingularCurveError
+from ellspec.intpoly import IntPoly, squarefree_decompose
+from samples import sample_curve
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,18 +78,36 @@ def test_squarefree_decompose_matches_sqf_list(p):
     )
 
 
+SPLIT_MESSAGE = "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A"
+
+
+@st.composite
+def c0_models(draw):
+    """(A, B) of a sample C = 0 curve, or of x(x - r1)(x - r2) with r1, r2
+    in Z[t], whose cubic splits unless the model is singular."""
+    if draw(st.booleans()):
+        A, B, _ = sample_curve("C=0", random.Random(draw(st.integers(0, 10**6)))).coeff_polys()
+        return A, B
+    r1, r2 = draw(small), draw(small)
+    return -(r1 + r2), r1 * r2
+
+
 @settings(deadline=None)
-@given(polys)
-@example(IntPoly())
-@example(IntPoly.const(2**64))
-@example(IntPoly.const(2**64 - 1))
-@example(IntPoly.const(-1))
-@example(-((T + 1) ** 2))
-@example(2 * (T - 3) ** 2)
-@example(9 * (2 * T + 1) ** 2 * (T - 1) ** 4)
-def test_poly_sqrt_finds_a_root_exactly_for_squares(p):
-    root = poly_sqrt(p)
-    assert (root is not None) == _sympy_is_square(p)
-    if root is not None:
-        assert root * root == p
-        assert root.is_zero or root.lc > 0
+@given(c0_models())
+@example((IntPoly(), -(T**2)))  # roots +-t
+@example((3 * T, 2 * T**2))  # roots -t, -2t
+@example((IntPoly(), -2 * T**2))  # A^2 - 4B = 8t^2, twice a square
+@example((IntPoly(), (T + 1) ** 2))  # A^2 - 4B = -4(t+1)^2, negative leading coefficient
+@example((-(T + 2**32), 2**32 * T))  # roots t and 2^32
+def test_script_a_refuses_exactly_the_curves_whose_cubic_splits(AB):
+    A, B = AB
+    try:
+        curve = Curve(A, B, IntPoly())
+    except SingularCurveError:
+        assume(False)
+    if _sympy_is_square(A * A - 4 * B):
+        with pytest.raises(ValueError) as refused:
+            Checker(curve, "scriptA")
+        assert str(refused.value) == SPLIT_MESSAGE
+    else:
+        assert Checker(curve, "scriptA").condition == "scriptA"
