@@ -49,6 +49,9 @@ __all__ = [
 
 CONDITION_NAMES = ("A", "Aprime", "scriptA", "A1B")
 
+# Divisors one report may list: a target with k factors and s content primes has 2^(s+1)(2^k - 1).
+_DIVISOR_CAP = 2**16
+
 
 @dataclass(frozen=True)
 class DivisorCheck:
@@ -121,16 +124,15 @@ def enumerate_divisors(target: IntPoly) -> list[IntPoly]:
     """
     if target.is_zero:
         raise ValueError("zero target")
-    return [h for h, _, _ in _divisor_products([factor(target)])[2]]
+    fac = factor(target)
+    return [h for h, _, _ in _divisor_products([g for g, _ in fac.poly_factors],
+                                                [q for q, _ in fac.content_primes])]
 
 
-def _divisor_products(facs) -> tuple[list[IntPoly], list[int], list[tuple[IntPoly, int, tuple[int, ...]]]]:
-    """The distinct primitive irreducible factors g_i and the distinct
-    content primes of the product of the factorized pieces, and every
-    divisor as (h, c, idx) with h = c * prod(g_i for i in idx), in the
-    order of enumerate_divisors."""
-    primes = list(dict.fromkeys(q for fac in facs for q, _ in fac.content_primes))
-    polys = list(dict.fromkeys(g for fac in facs for g, _ in fac.poly_factors))
+def _divisor_products(polys, primes) -> list[tuple[IntPoly, int, tuple[int, ...]]]:
+    """Every divisor of the distinct irreducible factors `polys` and the
+    distinct content `primes` as (h, c, idx) with
+    h = c * prod(polys[i] for i in idx), in the order of enumerate_divisors."""
     out = []
     for r in range(1, len(polys) + 1):
         for idx in itertools.combinations(range(len(polys)), r):
@@ -142,7 +144,7 @@ def _divisor_products(facs) -> tuple[list[IntPoly], list[int], list[tuple[IntPol
                     out.append((h, c, idx))
                     out.append((-h, -c, idx))
     out.sort(key=lambda d: (d[0].degree, abs(d[0].lc), d[0].lc < 0, d[0].coeffs))
-    return polys, primes, out
+    return out
 
 
 def _coprime_base(values: list[int]) -> list[int]:
@@ -244,9 +246,9 @@ _TARGET_BUILDERS = {
 
 class Checker:
     """One criterion prepared for one curve.  The constructor factors each
-    distinct piece of the targets once and lists every target's divisors;
-    check(t0) then only evaluates them, and passes(t0) decides the same
-    verdict without listing any.  Constant targets have no divisors."""
+    distinct piece of the targets once and lists nothing; check(t0) lists
+    and evaluates every divisor for its report, and passes(t0) decides the
+    same verdict from the factors alone.  Constant targets are dropped."""
 
     def __init__(self, curve: Curve, condition: str):
         if condition not in CONDITION_NAMES:
@@ -258,13 +260,15 @@ class Checker:
         self.condition = condition
         self.model = curve.coeff_polys()
         self.discriminant = curve.discriminant_poly()
-        # (label, distinct irreducible factors, distinct content primes,
-        # divisors as (h, c, idx) with h = c * prod(factors[i] for i in idx))
-        self.targets = [(label, *_divisor_products([facs[p] for p in pieces]))
+        # (label, distinct irreducible factors, distinct content primes)
+        self.targets = [(label,
+                         list(dict.fromkeys(g for p in pieces for g, _ in facs[p].poly_factors)),
+                         list(dict.fromkeys(q for p in pieces for q, _ in facs[p].content_primes)))
                         for label, pieces in built]
 
     def check(self, t0) -> ConditionReport:
-        """The criterion at t0, with every divisor value in the report."""
+        """The criterion at t0, with every divisor value in the report; a
+        report of more than _DIVISOR_CAP divisors raises ValueError."""
         t0 = as_rational(t0)
         Dv = self.discriminant(t0)
         report = ConditionReport(
@@ -278,11 +282,15 @@ class Checker:
         if Dv == 0:
             report.notes.append("discriminant vanishes at t0: specialization is singular")
             return report
+        count = sum(2 ** (len(ps) + 1) * (2 ** len(fs) - 1) for _, fs, ps in self.targets)
+        if count > _DIVISOR_CAP:
+            raise ValueError(f"condition {self.condition} at t0={t0}: the report would list "
+                             f"{count} divisors, over the cap of {_DIVISOR_CAP}")
         n, m = t0.numerator, t0.denominator
-        for label, factors, _, divisors in self.targets:
+        for label, factors, primes in self.targets:
             # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
             values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
-            for h, c, idx in divisors:
+            for h, c, idx in _divisor_products(factors, primes):
                 value = Fraction(c * math.prod(values[i] for i in idx), m**h.degree)
                 root = is_square_rat(value)
                 report.checks.append(DivisorCheck(label, h, value, root))
@@ -321,7 +329,7 @@ class Checker:
         n, m = t0.numerator, t0.denominator
         if _horner_homogeneous(self.discriminant.coeffs, n, m) == 0:
             return False
-        for _, factors, primes, _ in self.targets:
+        for _, factors, primes in self.targets:
             values = [_horner_homogeneous(g.coeffs, n, m) * (m if g.degree % 2 else 1)
                       for g in factors]
             if 0 in values or not _independent_mod_squares(values, primes):

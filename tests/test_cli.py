@@ -458,3 +458,28 @@ def test_a_json_number_over_the_int_limit_exits_2(tmp_path, capsys):
     with pytest.raises(json.JSONDecodeError) as exc:
         json.loads(cert[:50])
     assert run(capsys, "check", "--replay", str(path)) == (2, "", f"error: {exc.value}\n")
+
+
+# scriptA on B = (t + 3)(t + 5)...(t + 33): B has 2 * (2^16 - 1) divisors and
+# the irreducible A^2 - 4B has two more, 131,072 in all
+_SIXTEEN = "*".join(f"(t + {2 * i + 3})" for i in range(16))
+_WIDE = ("--condition", "scriptA", "--curve", f"y^2 = x^3 + (t + 1)*x^2 + ({_SIXTEEN})*x")
+
+
+@pytest.mark.parametrize("command", ["find-t0", "check --json", "check --replay"])
+def test_a_report_over_the_divisor_cap_exits_2_before_listing(tmp_path, command):
+    if command == "find-t0":
+        argv = ("find-t0", *_WIDE)
+    elif command == "check --json":
+        argv = ("check", *_WIDE, "--t0", "2/3", "--json")
+    else:
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"schema": "ellspec-certificate/1", "condition": "scriptA",
+                                    "t0": "2/3", "curve": {"A": "t + 1", "B": _SIXTEEN, "C": "0"}}))
+        argv = ("check", "--replay", str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellspec", *argv],
+        env=_env_with_src(), capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "the report would list 131072 divisors, over the cap of 65536" in proc.stderr

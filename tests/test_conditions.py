@@ -178,6 +178,72 @@ def test_checker_looks_up_the_traced_functions_at_call_time(monkeypatch):
     assert counts["t0"] == len(list(t0_candidates(SearchBudget(int_bound=1, rat_height=1))))
 
 
+def _count_listings(monkeypatch) -> list:
+    """The first argument, the factor list, of every call to
+    conditions._divisor_products."""
+    calls = []
+    divisor_products = conditions._divisor_products
+    monkeypatch.setattr(conditions, "_divisor_products",
+                        lambda *args: calls.append(args[0]) or divisor_products(*args))
+    return calls
+
+
+@pytest.mark.parametrize("kind,condition", _CHECKER_CASES)
+def test_only_reports_list_divisors(monkeypatch, kind, condition):
+    calls = _count_listings(monkeypatch)
+    rng = random.Random(f"listings {kind} {condition}")
+    t0s = [Fraction(n, d) for n in range(-2, 3) for d in (1, 3)]
+    built = 0
+    while built < 3:
+        try:
+            checker = Checker(sample_curve(kind, rng), condition)
+        except ValueError:  # scriptA on a curve whose cubic splits
+            continue
+        built += 1
+        for t0 in t0s:
+            checker.passes(t0)
+        assert calls == []
+        for t0 in t0s:
+            if checker.check(t0).discriminant_value:
+                assert calls == [factors for _, factors, _ in checker.targets]
+            else:
+                assert calls == []
+            calls.clear()
+
+
+def test_a_search_lists_divisors_only_for_the_t0_it_returns(monkeypatch):
+    calls = _count_listings(monkeypatch)
+    with pytest.raises(BudgetExhausted):  # the cubic has the root -t in Q(t)
+        find_t0(parse_curve("y^2 = x^3 + t*x^2 + x + t"), "A1B", SearchBudget(30, 6))
+    curve = parse_curve("y^2 = x^3 + t^2*x^2 - x")  # one nonconstant target, t^4 + 4
+    with pytest.raises(BudgetExhausted):
+        find_t0(curve, "scriptA", SearchBudget(int_bound=1, rat_height=1))
+    assert calls == []
+    assert find_t0(curve, "scriptA").t0 == 2
+    assert len(calls) == 1
+    calls.clear()
+    assert find_t0(parse_curve("e=(0, t, 7*t+1)"), "A", SearchBudget(30, 6)).passed
+    assert len(calls) == 3  # one per root-difference product
+
+
+def test_the_divisor_cap_is_checked_before_anything_is_listed(monkeypatch):
+    # B = t(t + 2) has 2 * 3 divisors and the irreducible A^2 - 4B =
+    # -3t^2 - 6t + 1 has 2, so the report at t0 = 1 lists 8
+    checker = Checker(parse_curve("y^2 = x^3 + (t + 1)*x^2 + (t^2 + 2*t)*x"), "scriptA")
+    calls = _count_listings(monkeypatch)
+    monkeypatch.setattr(conditions, "_DIVISOR_CAP", 8)
+    report = checker.check(1)
+    assert len(report.checks) == 8
+    assert len(calls) == 2
+    calls.clear()
+    monkeypatch.setattr(conditions, "_DIVISOR_CAP", 7)
+    with pytest.raises(ValueError, match=r"^condition scriptA at t0=1: the report would list "
+                                         r"8 divisors, over the cap of 7$"):
+        checker.check(1)
+    assert checker.passes(1) is report.passed  # the verdict lists nothing
+    assert calls == []
+
+
 def test_strong_variant_implies_basic_one():
     # whenever Aprime passes, A must pass too (on a few sample points)
     curve = Curve.from_roots(RatFunc(0), t, 7 * t + 1)

@@ -20,7 +20,6 @@ from ellspec.conditions import (
     BudgetExhausted,
     Checker,
     SearchBudget,
-    _divisor_products,
     certificate_to_json,
     check_condition,
     find_t0,
@@ -68,7 +67,10 @@ def _planted_checker(pieces: list[IntPoly]) -> Checker:
     of its own, so the verdict at every t0 is the planted target's."""
     checker = Checker(parse_curve("y^2 = x^3 + x"), "scriptA")
     assert checker.targets == []
-    checker.targets = [("planted", *_divisor_products([factor(p) for p in pieces]))]
+    facs = [factor(p) for p in pieces]
+    checker.targets = [("planted",
+                        list(dict.fromkeys(g for fac in facs for g, _ in fac.poly_factors)),
+                        list(dict.fromkeys(q for fac in facs for q, _ in fac.content_primes)))]
     return checker
 
 
