@@ -402,6 +402,9 @@ def find_t0(
 # ---------------------------------------------------------------------------
 
 _SCHEMA = "ellspec-certificate/1"
+# the fields _certificate_doc writes; replay asks for them before any arithmetic
+_FIELDS = frozenset({"schema", "condition", "curve", "t0", "passed", "certifying",
+                     "discriminant_value", "checks", "notes", "subresults"})
 
 
 def _curve_to_json(curve: Curve) -> dict:
@@ -475,15 +478,14 @@ def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != _SCHEMA:
         raise ValueError(f"unsupported certificate schema {schema!r}")
-    if not isinstance(doc.get("t0"), str):
+    missing = sorted(_FIELDS - set(doc))
+    if missing:
+        raise ValueError(f"certificate lacks {', '.join(missing)}")
+    if not isinstance(doc["t0"], str):
         raise ValueError("certificate t0 must be a string")
     try:
         t0 = parse_rational(doc["t0"])
     except ValueError as exc:
         raise ValueError(f"certificate t0: {exc}") from None
-    fresh = check_condition(_curve_from_json(doc.get("curve")), doc.get("condition"), t0)
-    expected = _certificate_doc(fresh)
-    missing = sorted(set(expected) - set(doc))
-    if missing:
-        raise ValueError(f"certificate lacks {', '.join(missing)}")
-    return doc == expected, fresh
+    fresh = check_condition(_curve_from_json(doc["curve"]), doc["condition"], t0)
+    return doc == _certificate_doc(fresh), fresh

@@ -1,13 +1,14 @@
 """Irreducible factorization in Z[t].
 
-Classical Zassenhaus: Yun squarefree decomposition, distinct-degree and
-Cantor-Zassenhaus equal-degree factorization modulo a small prime p, Hensel
-lifting to p^l above twice the Mignotte bound, then subset recombination
-on the same residue lists mod p^l.  A subset is tried only when its
-constant term divides lc(f)*f(0) (Abbott, Shoup and Zimmermann, ISSAC
-2000), and an exact division in Z[t] proves its product a factor.
-Recombination is exponential in the number of modular factors, so it
-visits at most _RECOMBINATION_BUDGET subsets and then raises
+Classical Zassenhaus: Yun squarefree decomposition, then distinct-degree
+factorization modulo up to five small primes, whose counts of modular factors
+choose the prime p.  Only p is split further, by Cantor-Zassenhaus
+equal-degree factorization.  Hensel lifting to p^l above twice the Mignotte
+bound follows, then subset recombination on the same residue lists mod p^l.
+A subset is tried only when its constant term divides lc(f)*f(0) (Abbott,
+Shoup and Zimmermann, ISSAC 2000), and an exact division in Z[t] proves its
+product a factor.  Recombination is exponential in the number of modular
+factors, so it visits at most _RECOMBINATION_BUDGET subsets and then raises
 FactorBudgetError.
 """
 
@@ -163,15 +164,6 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
             return _gf_equal_degree(split, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
 
 
-def _gf_factor_squarefree(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f over GF(p), p odd."""
-    rng = random.Random(p * 1_000_003 + len(f))
-    out: list[list[int]] = []
-    for g, d in _gf_distinct_degree(f, p):
-        out.extend(_gf_equal_degree(g, d, p, rng))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting (von zur Gathen & Gerhard, chapter 15).
 # ---------------------------------------------------------------------------
@@ -250,13 +242,16 @@ def _zassenhaus(f: IntPoly) -> list[IntPoly]:
         fp = _gf_from_poly(f, p)
         if not _gf_is_squarefree(fp, p):
             continue
-        mod_factors = _gf_factor_squarefree(_gf_monic(fp, p), p)
-        candidates.append((p, mod_factors))
-        if len(mod_factors) <= 3 or len(candidates) >= 5:
+        parts = _gf_distinct_degree(_gf_monic(fp, p), p)
+        count = sum((len(g) - 1) // d for g, d in parts)
+        candidates.append((count, p, parts))
+        if count <= 3 or len(candidates) >= 5:
             break
-    p, mod_factors = min(candidates, key=lambda c: len(c[1]))
-    if len(mod_factors) == 1:
+    count, p, parts = min(candidates, key=lambda c: c[0])
+    if count == 1:
         return [f]
+    rng = random.Random(p * 1_000_003 + n + 1)  # n + 1 = length of the monic residue list
+    mod_factors = sorted(h for g, d in parts for h in _gf_equal_degree(g, d, p, rng))
 
     pl = p
     while pl <= 2 * B:

@@ -474,8 +474,11 @@ def test_a_report_over_the_divisor_cap_exits_2_before_listing(tmp_path, command)
         argv = ("check", *_WIDE, "--t0", "2/3", "--json")
     else:
         path = tmp_path / "wide.json"
+        # every field present, so that replay reaches the cap; the placeholders are never compared
         path.write_text(json.dumps({"schema": "ellspec-certificate/1", "condition": "scriptA",
-                                    "t0": "2/3", "curve": {"A": "t + 1", "B": _SIXTEEN, "C": "0"}}))
+                                    "t0": "2/3", "curve": {"A": "t + 1", "B": _SIXTEEN, "C": "0"},
+                                    "passed": True, "certifying": True, "discriminant_value": "0",
+                                    "checks": [], "notes": [], "subresults": {}}))
         argv = ("check", "--replay", str(path))
     proc = subprocess.run(
         [sys.executable, "-m", "ellspec", *argv],

@@ -452,6 +452,35 @@ def test_certificate_schema_guard():
         replay_certificate({"schema": "something-else/9"})
 
 
+@pytest.mark.parametrize(
+    "text, condition, t0",
+    [("e=(0, t, 7*t+1)", "A", Fraction(1, 21)), ("y^2 = x^3 + t^2*x^2 - x", "scriptA", 2),
+     ("y^2 = x^3 + t*x + 1", "A1B", 3)],
+    ids=["A", "scriptA", "A1B"],
+)
+def test_replay_asks_for_the_fields_a_certificate_has(text, condition, t0):
+    report = check_condition(parse_curve(text), condition, t0)
+    assert set(conditions._certificate_doc(report)) == conditions._FIELDS
+
+
+@pytest.mark.parametrize(
+    "removed, message",
+    [(["checks"], "certificate lacks checks"),
+     (["t0", "notes", "checks"], "certificate lacks checks, notes, t0")],
+)
+def test_replay_checks_its_fields_before_any_arithmetic(monkeypatch, removed, message):
+    doc = json.loads(certificate_to_json(check_condition(_SPLIT, "A", Fraction(1, 21))))
+    for key in removed:
+        del doc[key]
+    built = []
+    init = Checker.__init__
+    monkeypatch.setattr(Checker, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    with pytest.raises(ValueError) as info:
+        replay_certificate(doc)
+    assert str(info.value) == message
+    assert built == []
+
+
 # -- exactness spot check -----------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from ellspec import factorize
 from ellspec.factorize import _gf_mul, _gf_pow_mod, _gf_rem, factor, rational_roots
 from ellspec.intpoly import IntPoly
+from ellspec.mestre import twist_polynomial
 from ellspec.parsing import parse_poly
 
 T = IntPoly.monomial(1, 1)
@@ -125,3 +128,22 @@ def test_gf_pow_mod_squares_nothing_after_the_top_bit(monkeypatch):
         _gf_pow_mod([2, 1], e, [1, 0, 0, 1], 7)  # (t + 2)**e mod (t^3 + 1, 7)
         # one product per set bit, one squaring per bit after the first
         assert len(calls) == bin(e).count("1") + e.bit_length() - 1, e
+
+
+@pytest.mark.parametrize(
+    "poly, primes",
+    [(twist_polynomial(2, 12), {11}), (twist_polynomial(1, 1), {3}), (T**2 + 1, set())],
+    ids=["g(2,12)", "g(1,1)", "t^2+1"],
+)
+def test_only_the_chosen_prime_is_split(monkeypatch, poly, primes):
+    # distinct-degree counts choose the prime; t^2 + 1 is irreducible mod 3, so nothing splits
+    seen = set()
+    split = factorize._gf_equal_degree
+
+    def recording(f, d, p, rng):
+        seen.add(p)
+        return split(f, d, p, rng)
+
+    monkeypatch.setattr(factorize, "_gf_equal_degree", recording)
+    assert factor(poly).recompose() == poly
+    assert seen == primes
