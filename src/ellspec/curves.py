@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .factorize import _mignotte_bound
 from .intmath import as_rational
-from .intpoly import IntPoly, _from_balanced_digits, _horner, _power, cubic_discriminant
+from .intpoly import IntPoly, _from_balanced_digits, _horner_homogeneous, _power, cubic_discriminant
 from .ratfunc import RatFunc
 
 __all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError"]
@@ -296,7 +296,7 @@ def _qt_cubic_roots(A: IntPoly, B: IntPoly, C: IntPoly) -> list[IntPoly]:
     L = next(f for f in (C, B, A) if not f.is_zero)
     N = 2 * _mignotte_bound(L) + 1
     roots: list[IntPoly] = []
-    for rho in _int_cubic_roots(*(_horner(f.coeffs, N) for f in (A, B, C))):
+    for rho in _int_cubic_roots(*(_horner_homogeneous(f.coeffs, N, 1) for f in (A, B, C))):
         r = _from_balanced_digits(rho, N)
         if r * r * r + A * r * r + B * r + C == 0:
             roots.append(r)

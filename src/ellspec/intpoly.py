@@ -320,8 +320,8 @@ def _heu_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly | None:
     # candidate dividing both inputs the gcd, not merely a common divisor.
     xi = 2 * min(norm_a, norm_b) + 29
     for _ in range(_HEU_GCD_ROUNDS):
-        va = _horner(pa._c, xi)
-        vb = _horner(pb._c, xi)
+        va = _horner_homogeneous(pa._c, xi, 1)
+        vb = _horner_homogeneous(pb._c, xi, 1)
         if va and vb:
             h = _from_balanced_digits(math.gcd(va, vb), xi).primitive_part()
             if h.lc < 0:
@@ -331,14 +331,6 @@ def _heu_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly | None:
         # sympy's growth schedule (dup_zz_heu_gcd): about xi**1.25
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
-
-
-def _horner(coeffs: tuple[int, ...], x: int) -> int:
-    """Integer Horner evaluation of the coefficient tuple at x."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _horner_homogeneous(coeffs: tuple[int, ...], n: int, m: int) -> int:

@@ -123,8 +123,6 @@ def morphism_degree(instance: MestreInstance, T: Point) -> int:
     if T.is_infinity:
         return 0
     x = instance.curve._require(T).x
-    if x.is_zero:
-        return 0
     n, d, g = x.num, x.den, instance.g
     return max(n.degree, d.degree + g.degree) - poly_gcd(n, g).degree
 
@@ -220,7 +218,9 @@ def generator_certificate(
     specialized_rank is a declared external input (with provenance) for
     the rank of the specialized curve over Q.  Injectivity at t0 is
     either certified here (when a certifying criterion applies and
-    passes) or accepted as a declared external assertion.
+    passes) or accepted as a declared external assertion.  A negative rank
+    raises ValueError, and so does a rank below 2 where it is either: an
+    injective specialization keeps P and Q independent.
     """
     t0 = as_rational(t0)
     report = injectivity_report(instance, t0)
@@ -238,6 +238,10 @@ def generator_certificate(
             )
     else:
         mode = "none"
+    least = 0 if mode == "none" else 2
+    if specialized_rank < least:
+        raise ValueError(f"declared specialized rank {specialized_rank} at t0={t0} is "
+                         f"impossible: it is at least {least} (injectivity: {mode})")
 
     if report.certifying:
         label = "passes" if report.passed else "fails"

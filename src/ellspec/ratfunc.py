@@ -3,6 +3,7 @@
 Canonical form: numerator and denominator are coprime in Z[t] (integer
 contents coprime and primitive parts coprime) and the denominator has a
 positive leading coefficient.  This makes equality a structural check.
+A fraction n/1 already has this form, so Z[t] enters Q(t) with no gcd.
 """
 
 from __future__ import annotations
@@ -20,22 +21,20 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        """num / den for num, den in Z[t] (int or IntPoly), reduced."""
+        """num / den for num, den in Z[t] (int or IntPoly), reduced: n/1 as it
+        is, else both parts divided by their gcd, which takes 0/d to 0/1."""
         n = IntPoly.coerce(num)
         d = IntPoly.coerce(den)
         if d.is_zero:
             raise ZeroDivisionError("zero denominator in Q(t)")
-        if n.is_zero:
-            self.num = IntPoly()
-            self.den = IntPoly.const(1)
-        else:
+        if d != 1:
             g = poly_gcd(n, d)
             n = n.exact_div(g)
             d = d.exact_div(g)
             if d.lc < 0:
                 n, d = -n, -d
-            self.num = n
-            self.den = d
+        self.num = n
+        self.den = d
 
     # -- queries -------------------------------------------------------
 

@@ -332,6 +332,16 @@ def test_mestre_generator_conclusion_json(capsys):
     assert doc["rank_source"] == "external table"
 
 
+@pytest.mark.parametrize("rank", ["-3", "1"])
+def test_mestre_a_specialized_rank_below_2_at_a_certified_t0_exits_2(capsys, rank):
+    code, out, err = run(
+        capsys, "mestre", "--a", "2", "--b", "12", "--t0", "4",
+        "--specialized-rank", rank, "--rank-source", "x",
+    )
+    assert code == 2 and out == ""
+    assert f"declared specialized rank {rank} at t0=4" in err
+
+
 def test_mestre_specialized_rank_needs_t0(capsys):
     code, out, err = run(
         capsys, "mestre", "--a", "2", "--b", "12", "--specialized-rank", "2", "--rank-source", "x",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellspec import ratfunc
 from ellspec.curves import Curve, O, OffCurveError, Point, SingularCurveError
 from ellspec.intpoly import IntPoly
 from ellspec.parsing import parse_curve
@@ -230,6 +231,18 @@ def test_two_torsion_with_denominators():
     for P in curve2.two_torsion():
         assert in_field(curve2, P)
         assert curve2.add(P, P) == O
+
+
+def test_two_torsion_over_z_t_takes_no_gcd(monkeypatch):
+    """With model denominator 1, the roots and the zero enter Q(t) as n/1."""
+    curve = Curve(0, -(T * T), 0)  # x (x - t)(x + t)
+    calls = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    points = curve.two_torsion()
+    assert {P.x for P in points[1:]} == {RatFunc(0), t, -t}
+    assert {P.y for P in points[1:]} == {RatFunc(0)}
+    assert calls == []
 
 
 def test_from_roots_expansion():

@@ -14,8 +14,9 @@ finders, so Curve.two_torsion alone decides a curve's rational 2-torsion;
 conditions may read _q_cubic_roots for A1B's per-t0 test.  In parsing,
 only _tokenize reads the raw text: no other function slices it with
 string methods or re.  The package has one schoolbook product loop,
-intpoly._mul_coeffs, one trailing-zero loop, intpoly._trim, and one
-square-and-multiply loop, intpoly._power.
+intpoly._mul_coeffs, one trailing-zero loop, intpoly._trim, one
+square-and-multiply loop, intpoly._power, and one Horner loop,
+intpoly._horner_homogeneous.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead code.  An imported name
@@ -652,3 +653,50 @@ def test_the_power_scan_flags_copied_square_and_multiply_loops():
     )
     program = {"curves": curves, "factorize": factorize, "intmath": intmath}
     assert _kernel_loops(program, _is_power_loop) == ["curves.Curve.scalar_mul", "factorize._gf_pow_mod"]
+
+
+def _is_horner_loop(node: ast.AST) -> bool:
+    """A for loop that assigns acc = acc * ... + ... back to one name."""
+    return isinstance(node, ast.For) and any(
+        isinstance(n, ast.Assign)
+        and len(n.targets) == 1
+        and isinstance(n.targets[0], ast.Name)
+        and isinstance(n.value, ast.BinOp)
+        and isinstance(n.value.op, ast.Add)
+        and isinstance(n.value.left, ast.BinOp)
+        and isinstance(n.value.left.op, ast.Mult)
+        and isinstance(n.value.left.left, ast.Name)
+        and n.value.left.left.id == n.targets[0].id
+        for stmt in node.body
+        for n in ast.walk(stmt)
+    )
+
+
+def test_one_horner_loop():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _kernel_loops(program, _is_horner_loop) == ["intpoly._horner_homogeneous"]
+
+
+def test_the_horner_scan_flags_copied_horner_loops():
+    factorize = ast.parse(
+        "def _eval_at(f, x):\n"
+        "    acc = 0\n"
+        "    for c in reversed(f):\n"
+        "        acc = acc * x + c\n"
+        "    return acc\n"
+        "def _mignotte_bound(f):\n"
+        "    total = 0\n"
+        "    for c in f.coeffs:\n"
+        "        total = total + c * c\n"
+        "    return total\n"
+    )
+    parsing = ast.parse(
+        "class _Parser:\n"
+        "    def number(self, digits):\n"
+        "        value = 0\n"
+        "        for d in digits:\n"
+        "            value = value * 10 + int(d)\n"
+        "        return value\n"
+    )
+    program = {"factorize": factorize, "parsing": parsing}
+    assert _kernel_loops(program, _is_horner_loop) == ["factorize._eval_at", "parsing._Parser.number"]

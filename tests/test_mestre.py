@@ -217,11 +217,32 @@ def test_generator_certificate_declared():
     assert any("external" in n for n in conc.notes)
 
 
+@pytest.mark.parametrize(
+    "a, b, t0, rank, source, message",
+    [
+        (2, 12, 4, -3, None, r"rank -3 at t0=4 is impossible: it is at least 2 \(injectivity: certified"),
+        (1, 1, 5, -1, None, r"rank -1 at t0=5 is impossible: it is at least 0 \(injectivity: none"),
+        (2, 12, 4, 1, None, r"rank 1 at t0=4 is impossible: it is at least 2 \(injectivity: certified"),
+        (2, 12, 4, 0, None, r"rank 0 at t0=4 is impossible: it is at least 2 \(injectivity: certified"),
+        (1, 1, 5, 1, "external proof", r"rank 1 at t0=5 is impossible: it is at least 2 \(injectivity: declared"),
+    ],
+    ids=["negative", "negative-without-injectivity", "1-certified", "0-certified", "1-declared"],
+)
+def test_generator_certificate_rejects_a_rank_that_contradicts_injectivity(
+    a, b, t0, rank, source, message
+):
+    inst = mestre.build(a, b)
+    with pytest.raises(ValueError, match=message):
+        mestre.generator_certificate(inst, t0, rank, "x", injectivity_source=source)
+
+
 def test_generator_certificate_insufficient_inputs():
     inst = mestre.build(1, 1)
     conc = mestre.generator_certificate(inst, 5, 2, "some source")
     assert conc.injectivity_mode == "none"
     assert "at least 2" in conc.conclusion
+    conc1 = mestre.generator_certificate(inst, 5, 1, "some source")
+    assert "declared specialized rank 1 gives rank <= 1" in conc1.conclusion  # no injectivity
 
     inst2 = mestre.build(2, 12)
     conc2 = mestre.generator_certificate(inst2, 4, 3, "some source")

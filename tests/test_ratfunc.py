@@ -93,3 +93,27 @@ def test_constants():
     assert RatFunc(5, 3).is_constant
     assert not RatFunc(T, 3).is_constant
     assert RatFunc(0).is_zero
+
+
+def test_a_fraction_over_one_takes_no_gcd(monkeypatch):
+    calls = []
+    monkeypatch.setattr("ellspec.ratfunc.poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    p = 3 * T**2 - 6 * T + 9
+    for f in (RatFunc(p), RatFunc(p, 1), RatFunc._coerce(p)):
+        assert (f.num, f.den) == (p, IntPoly.const(1))
+    assert RatFunc._coerce(5).num == 5
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "num, den, expected",
+    [
+        (T**2 - 2, -1, (2 - T**2, 1)),
+        (0, 1 - 3 * T, (0, 1)),
+        (0, 1, (0, 1)),
+        (0, -7, (0, 1)),
+    ],
+)
+def test_every_other_fraction_reduces_to_the_canonical_form(num, den, expected):
+    f = RatFunc(num, den)
+    assert (f.num, f.den) == tuple(map(IntPoly.coerce, expected))

@@ -26,10 +26,29 @@ def polys(max_degree: int, max_bits: int):
     return st.builds(IntPoly, st.lists(coeff, max_size=max_degree + 1))
 
 
-nonzero = polys(5, 40).filter(bool)
+# zero numerators and denominators +-1 reach both branches of the
+# constructor: n/1 is stored as it is, anything else is reduced
+nums = st.one_of(st.just(IntPoly()), polys(5, 40))
+dens = st.one_of(st.sampled_from([IntPoly.const(1), IntPoly.const(-1)]), polys(5, 40).filter(bool))
 # a factor shared by numerator and denominator gives the reduction work
-common = polys(3, 8).filter(bool)
-ratfuncs = st.builds(lambda n, d, g: RatFunc(n * g, d * g), polys(5, 40), nonzero, common)
+common = st.one_of(st.just(IntPoly.const(1)), polys(3, 8).filter(bool))
+ratfuncs = st.builds(lambda n, d, g: RatFunc(n * g, d * g), nums, dens, common)
+
+
+def assert_canonical_and_equal(h: RatFunc, expected) -> None:
+    """h equals sympy's cancelled expected, with coprime parts and lc(den) > 0."""
+    p, q = sympy.fraction(sympy.cancel(expected))
+    num, den = to_sympy(h.num), to_sympy(h.den)
+    assert sympy.expand(num * q - den * p) == 0
+    assert sympy.gcd(num, den) == 1 and h.den.lc > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(nums, dens, common)
+@example(IntPoly(), IntPoly([1, -3]), IntPoly([1]))  # 0/d is 0/1
+@example(IntPoly([0, 2, -1]), IntPoly([-1]), IntPoly([1]))  # n/-1 is -n/1
+def test_construction_matches_sympy_cancel(n, d, g):
+    assert_canonical_and_equal(RatFunc(n * g, d * g), to_sympy(n * g) / to_sympy(d * g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -42,11 +61,7 @@ def test_field_operations_match_sympy_cancel(f, g, op):
         with pytest.raises(ZeroDivisionError):
             f / g
         return
-    h = _OPS[op](f, g)
-    expected = sympy.cancel(
-        _OPS[op](to_sympy(f.num) / to_sympy(f.den), to_sympy(g.num) / to_sympy(g.den))
+    assert_canonical_and_equal(
+        _OPS[op](f, g),
+        _OPS[op](to_sympy(f.num) / to_sympy(f.den), to_sympy(g.num) / to_sympy(g.den)),
     )
-    p, q = sympy.fraction(expected)
-    num, den = to_sympy(h.num), to_sympy(h.den)
-    assert sympy.expand(num * q - den * p) == 0
-    assert sympy.gcd(num, den) == 1 and h.den.lc > 0
