@@ -21,7 +21,6 @@ from .conditions import (
     replay_certificate,
 )
 from .curves import Curve, O, OffCurveError, Point, SingularCurveError
-from .descent import dual_curve, isogeny_phi, isogeny_psi
 from .factorize import Factorization, factor, rational_roots
 from .intpoly import IntPoly, cubic_discriminant, poly_gcd, squarefree_decompose
 from .mestre import (
@@ -65,15 +64,12 @@ __all__ = [
     "certificate_to_json",
     "check_condition",
     "cubic_discriminant",
-    "dual_curve",
     "enumerate_divisors",
     "factor",
     "find_t0",
     "generator_certificate",
     "homomorphism_check",
     "injectivity_report",
-    "isogeny_phi",
-    "isogeny_psi",
     "morphism_degree",
     "pairing",
     "parse_curve",

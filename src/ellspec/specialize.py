@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .curves import Curve, O, Point
+from .curves import Curve, O, Point, SingularCurveError
 from .intmath import as_rational
 
 __all__ = [
@@ -28,9 +28,10 @@ def specialize_curve(curve: Curve, t0) -> Curve:
     values = [v(t0) for v in (curve.A, curve.B, curve.C)]
     if any(v is None for v in values):
         raise ValueError(f"a coefficient has a pole at t0={t0}")
-    if not curve.disc_cubic(t0):
-        raise ValueError(f"discriminant vanishes at t0={t0}: specialization singular")
-    return Curve(*values)
+    try:
+        return Curve(*values)
+    except SingularCurveError:
+        raise ValueError(f"discriminant vanishes at t0={t0}: specialization singular") from None
 
 
 def specialize_point(curve: Curve, P: Point, t0) -> Point:

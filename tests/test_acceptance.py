@@ -18,7 +18,6 @@ from ellspec.conditions import (
     replay_certificate,
 )
 from ellspec.curves import O, Point
-from ellspec.descent import dual_curve, isogeny_phi, isogeny_psi
 from ellspec.factorize import factor
 from ellspec.intpoly import IntPoly, squarefree_decompose
 from ellspec.parsing import parse_curve, parse_poly
@@ -26,7 +25,6 @@ from ellspec.ratfunc import RatFunc
 from ellspec.specialize import relation_search, specialize_curve, specialize_point
 from samples import (
     is_square_poly,
-    random_c0_curve_with_point,
     random_q_curve_with_points,
     random_qt_curve_with_points,
     random_split_curve_with_point,
@@ -188,14 +186,6 @@ def test_criterion_7_property_suites(capfd):
         curve, P = random_split_curve_with_point(rng)
         twoP = curve.scalar_mul(2, P)
         ok = ok and (twoP.is_infinity or all(_is_square(twoP.x - e) for e in curve.split_roots))
-
-    # psi(phi(P)) = 2P on 25 samples
-    rng = random.Random(713)
-    for _ in range(25):
-        curve, P = random_c0_curve_with_point(rng)
-        image = isogeny_phi(curve, P)
-        ok = ok and dual_curve(curve).contains(image)
-        ok = ok and isogeny_psi(curve, image) == curve.scalar_mul(2, P)
 
     # factorization round-trip on 500 random polynomials
     rng = random.Random(714)

@@ -3,9 +3,9 @@ module-level private name of the package, every name in a module's
 __all__ and every method of a class in the package (as an attribute) is
 read outside its own definition by the program: the package, bench/*.py
 or a function that bench/tracing.py wraps by name.  A test does not
-count as a caller, so library code that only tests call is dead; one
-name is kept without a caller, for a stated reason.  No module of the
-package holds an assert statement, since python -O strips them.
+count as a caller, so library code that only tests call is dead, and no
+name is kept without a caller.  No module of the package holds an assert
+statement, since python -O strips them.
 
 Only curves and ratfunc take values into Q(t) (a curve fixes the field
 of its coefficients and points once), so no other module of the package
@@ -182,16 +182,8 @@ def test_every_private_name_is_used():
     assert _dead_names(*_program_and_callers(ROOT), _private_names) == []
 
 
-# Public names that nothing in the program or the bench calls, kept on purpose.
-KEPT_WITHOUT_CALLER = {
-    "descent.isogeny_psi": "the dual isogeny: psi(phi(P)) = 2P checks the 2-isogeny pair "
-    "that a descent for the specialized rank would use",
-}
-
-
 def test_every_public_name_is_called():
-    dead = _dead_names(*_program_and_callers(ROOT), _public_names)
-    assert [name for name in dead if name not in KEPT_WITHOUT_CALLER] == []
+    assert _dead_names(*_program_and_callers(ROOT), _public_names) == []
 
 
 @pytest.fixture
@@ -308,8 +300,7 @@ def _dead_methods(program: dict[str, ast.Module], readers: list[ast.Module]) -> 
 
 
 def test_every_method_is_used():
-    dead = _dead_methods(*_program_and_callers(ROOT))
-    assert [name for name in dead if name not in KEPT_WITHOUT_CALLER] == []
+    assert _dead_methods(*_program_and_callers(ROOT)) == []
 
 
 def test_the_method_scan_flags_unread_and_self_read_methods(package_tree):
@@ -368,10 +359,10 @@ def test_the_coercion_scan_flags_readers_outside_the_gates():
         "curves": ast.parse("x = RatFunc._coerce(v)\n"),
         "ratfunc": ast.parse("n, d = self._lift(num)\n"),
         "specialize": ast.parse("x = RatFunc._coerce(P.x)(t0)\n"),
-        "descent": ast.parse("pair = RatFunc._lift(v)\n"),
+        "golden": ast.parse("pair = RatFunc._lift(v)\n"),
         "mestre": ast.parse("def _coerce(v):\n    return v\nx = _coerce(T.x)\n"),
     }
-    assert _coercing_modules(program) == ["specialize", "descent"]
+    assert _coercing_modules(program) == ["specialize", "golden"]
 
 
 ROOT_FINDERS = {"_int_cubic_roots", "_qt_cubic_roots", "_q_cubic_roots"}
@@ -655,20 +646,29 @@ def test_the_power_scan_flags_copied_square_and_multiply_loops():
     assert _kernel_loops(program, _is_power_loop) == ["curves.Curve.scalar_mul", "factorize._gf_pow_mod"]
 
 
+def _is_horner_step(n: ast.AST) -> bool:
+    """acc = acc * x + ..., or (acc * x + ...) % m, with x not acc itself:
+    a squaring step such as y = (y * y + c) % n is not a Horner step."""
+    if not (isinstance(n, ast.Assign) and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name)):
+        return False
+    acc, value = n.targets[0].id, n.value
+    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mod):
+        value = value.left
+    return (
+        isinstance(value, ast.BinOp)
+        and isinstance(value.op, ast.Add)
+        and isinstance(value.left, ast.BinOp)
+        and isinstance(value.left.op, ast.Mult)
+        and isinstance(value.left.left, ast.Name)
+        and value.left.left.id == acc
+        and not (isinstance(value.left.right, ast.Name) and value.left.right.id == acc)
+    )
+
+
 def _is_horner_loop(node: ast.AST) -> bool:
-    """A for loop that assigns acc = acc * ... + ... back to one name."""
+    """A for loop with a Horner step in its body."""
     return isinstance(node, ast.For) and any(
-        isinstance(n, ast.Assign)
-        and len(n.targets) == 1
-        and isinstance(n.targets[0], ast.Name)
-        and isinstance(n.value, ast.BinOp)
-        and isinstance(n.value.op, ast.Add)
-        and isinstance(n.value.left, ast.BinOp)
-        and isinstance(n.value.left.op, ast.Mult)
-        and isinstance(n.value.left.left, ast.Name)
-        and n.value.left.left.id == n.targets[0].id
-        for stmt in node.body
-        for n in ast.walk(stmt)
+        _is_horner_step(n) for stmt in node.body for n in ast.walk(stmt)
     )
 
 
@@ -689,6 +689,17 @@ def test_the_horner_scan_flags_copied_horner_loops():
         "    for c in f.coeffs:\n"
         "        total = total + c * c\n"
         "    return total\n"
+        "def _gf_eval(f, x, p):\n"
+        "    acc = 0\n"
+        "    for c in reversed(f):\n"
+        "        acc = (acc * x + c) % p\n"
+        "    return acc\n"
+    )
+    intmath = ast.parse(
+        "def _rho_walk(y, c, n, r):\n"
+        "    for _ in range(r):\n"
+        "        y = (y * y + c) % n\n"
+        "    return y\n"
     )
     parsing = ast.parse(
         "class _Parser:\n"
@@ -698,5 +709,9 @@ def test_the_horner_scan_flags_copied_horner_loops():
         "            value = value * 10 + int(d)\n"
         "        return value\n"
     )
-    program = {"factorize": factorize, "parsing": parsing}
-    assert _kernel_loops(program, _is_horner_loop) == ["factorize._eval_at", "parsing._Parser.number"]
+    program = {"factorize": factorize, "parsing": parsing, "intmath": intmath}
+    assert _kernel_loops(program, _is_horner_loop) == [
+        "factorize._eval_at",
+        "factorize._gf_eval",
+        "parsing._Parser.number",
+    ]

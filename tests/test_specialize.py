@@ -28,10 +28,21 @@ def test_specialize_curve():
         specialize_curve(spec, 3)
 
 
-def test_specialize_curve_rejects_singular_fibers():
-    curve = Curve.from_roots(RatFunc(0), t, 2 * t)
-    with pytest.raises(ValueError):
-        specialize_curve(curve, 0)
+def test_specialize_curve_rejects_singular_fibers(monkeypatch):
+    """The specialized curve decides a singular fibre: the discriminant over
+    Q(t) is never evaluated at t0."""
+    evaluated = []
+    call = RatFunc.__call__
+
+    def recording_call(f, t0):
+        evaluated.append(f)
+        return call(f, t0)
+
+    monkeypatch.setattr(RatFunc, "__call__", recording_call)
+    for curve in (Curve.from_roots(RatFunc(0), t, 2 * t), parse_curve("y^2 = x^3 + t*x")):
+        with pytest.raises(ValueError, match="^discriminant vanishes at t0=0: specialization singular$"):
+            specialize_curve(curve, 0)
+        assert evaluated and not any(f is curve.disc_cubic for f in evaluated)
 
 
 def test_specialize_point_basics():
