@@ -227,21 +227,47 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 
+# A root bound of more than this many bits starts Newton from the crossings
+# of the halved problem, a smaller one from the ends of the bracket.
+_HALVED_START_BITS = 64
+
+
 def _int_cubic_roots(a: int, b: int, c: int) -> list[int]:
-    """Distinct integer roots, ascending, of y^3 + a y^2 + b y + c.
+    """Distinct integer roots, ascending, of y^3 + a y^2 + b y + c."""
+    return [y for y in _cubic_crossings(a, b, c) if ((y + a) * y + b) * y + c == 0]
+
+
+def _cubic_crossings(a: int, b: int, c: int) -> list[int]:
+    """On each monotone piece of f(y) = y^3 + a y^2 + b y + c whose sign
+    changes, ascending, the least integer y with sign * f(y) >= 0; every
+    integer root of f is one of them.
 
     Every root y has |y| <= 2 max(|a|, |b|^(1/2), |c|^(1/3)) (Fujiwara,
     1916), which is below M = 2^(K+1) for K the least integer with |a|,
     |b|^(1/2) and |c|^(1/3) all below 2^K.  With s = isqrt(a^2 - 3b) the
     integers y split into 3y < -a - s, -a - s <= 3y <= -a + s and
     3y > -a + s; the critical points (-a -+ sqrt(a^2 - 3b))/3 lie in the
-    middle part, so the cubic is strictly monotone on each part and exact
-    bisection finds its only possible root there.  When a^2 - 3b <= 0 it
-    is monotone throughout.
+    middle part, so the cubic is strictly monotone on each part.  When
+    a^2 - 3b <= 0 it is monotone throughout.
+
+    Each crossing is bracketed in [lo, hi] by a safeguarded Newton
+    iteration in exact integers.  The first probe is a crossing of the
+    cubic with the low halves of the coefficients cut (a >> k, b >> 2k,
+    c >> 3k for k = K/2), scaled back by 2^k, when it lies in the bracket:
+    its roots are those of f scaled down by 2^k, up to rounding, so Newton
+    starts with about K/2 correct bits.  Each later probe is x - f(x)//f'(x)
+    from the end x of the bracket with the smaller |f| (the integer below
+    x when that step is 0), while it lies inside the bracket; otherwise,
+    and after a probe that left more than half of the bracket, the
+    midpoint.  So the bracket at least halves every two probes, and near a
+    simple root it closes after a few probes at full precision.
     """
 
     def f(y: int) -> int:
         return ((y + a) * y + b) * y + c
+
+    def df(y: int) -> int:
+        return (3 * y + 2 * a) * y + b
 
     K = max(abs(a).bit_length(), (abs(b).bit_length() + 1) // 2, (abs(c).bit_length() + 2) // 3)
     M = 2 << K
@@ -255,21 +281,36 @@ def _int_cubic_roots(a: int, b: int, c: int) -> list[int]:
             (-((a + s) // 3), (-a + s) // 3, -1),
             (-((a - s - 1) // 3), M, 1),
         ]
-    roots = []
+    k = K // 2 if K > _HALVED_START_BITS else 0
+    guesses = [y << k for y in _cubic_crossings(a >> k, b >> 2 * k, c >> 3 * k)] if k else []
+    crossings = []
     for lo, hi, sign in pieces:
         lo, hi = max(lo, -M), min(hi, M)
-        if lo > hi or sign * f(hi) < 0:
+        if lo > hi:
             continue
-        # smallest y in [lo, hi] with sign * f(y) >= 0, or hi
+        f_hi, f_lo = f(hi), None  # f at hi and at lo - 1, once probed
+        if sign * f_hi < 0:
+            continue
+        z = next((g for g in guesses if lo <= g < hi), None)
+        newton = True
         while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * f(mid) >= 0:
-                hi = mid
+            if newton:
+                width = hi - lo
+                if z is None:
+                    x, fx = (lo - 1, f_lo) if f_lo is not None and abs(f_lo) < abs(f_hi) else (hi, f_hi)
+                    dx = df(x)
+                    z = x - (fx // dx or 1) if dx else lo - 1
+            if not newton or not lo <= z < hi:
+                z = (lo + hi) // 2
+            fz = f(z)
+            if sign * fz >= 0:
+                hi, f_hi = z, fz
             else:
-                lo = mid + 1
-        if f(lo) == 0:
-            roots.append(lo)
-    return roots
+                lo, f_lo = z + 1, fz
+            z = None
+            newton = not newton or hi - lo <= width // 2
+        crossings.append(lo)
+    return crossings
 
 
 def _q_cubic_roots(A: Fraction, B: Fraction, C: Fraction) -> list[Fraction]:

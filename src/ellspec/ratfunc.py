@@ -4,6 +4,10 @@ Canonical form: numerator and denominator are coprime in Z[t] (integer
 contents coprime and primitive parts coprime) and the denominator has a
 positive leading coefficient.  This makes equality a structural check.
 A fraction n/1 already has this form, so Z[t] enters Q(t) with no gcd.
+Sums and products of canonical fractions follow Henrici (Knuth, TAOCP 2,
+4.5.1): they cancel the gcds of the small parts before multiplying and
+are already canonical, so they skip the full gcd that the constructor
+takes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ class RatFunc:
                 n, d = -n, -d
         self.num = n
         self.den = d
+
+    @classmethod
+    def _reduced(cls, n: IntPoly, d: IntPoly) -> "RatFunc":
+        """n / d for coprime n, d in Z[t] with d nonzero: only the sign of
+        d is fixed, so the parts must already be coprime."""
+        if d.lc < 0:
+            n, d = -n, -d
+        f = object.__new__(cls)
+        f.num = n
+        f.den = d
+        return f
 
     # -- queries -------------------------------------------------------
 
@@ -68,7 +83,8 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, Fraction):
-            return cls(other.numerator, other.denominator)
+            # already in lowest terms, with a positive denominator
+            return cls._reduced(IntPoly.const(other.numerator), IntPoly.const(other.denominator))
         if isinstance(other, (int, IntPoly)):
             return cls(other)
         raise TypeError(f"cannot interpret {other!r} as an element of Q(t)")
@@ -78,19 +94,19 @@ class RatFunc:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -100,7 +116,7 @@ class RatFunc:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _prod(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -111,7 +127,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero in Q(t)")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _prod(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -154,3 +170,39 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def _sum(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
+    """a/b + c/d for canonical a/b and c/d.  With d1 = gcd(b, d), the sum
+    is t / ((b/d1) d) for t = a (d/d1) + c (b/d1), and t shares with that
+    denominator only the factors it shares with d1 (Henrici)."""
+    if b == 1:
+        return RatFunc._reduced(a * d + c, d)
+    if d == 1:
+        return RatFunc._reduced(a + c * b, b)
+    d1 = poly_gcd(b, d)
+    if d1 == 1:
+        return RatFunc._reduced(a * d + c * b, b * d)
+    b = b.exact_div(d1)
+    t = a * d.exact_div(d1) + c * b
+    e = poly_gcd(t, d1)
+    if e != 1:
+        t, d = t.exact_div(e), d.exact_div(e)
+    return RatFunc._reduced(t, b * d)
+
+
+def _prod(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
+    """(a/b)(c/d) for coprime a, b and coprime c, d with d nonzero: the
+    cross gcds gcd(a, d) and gcd(c, b) are divided out before multiplying
+    (Henrici), and a square (a/b)^2 is already coprime."""
+    if a is c and b is d:
+        return RatFunc._reduced(a * a, b * b)
+    if d != 1:
+        g = poly_gcd(a, d)
+        if g != 1:
+            a, d = a.exact_div(g), d.exact_div(g)
+    if b != 1:
+        g = poly_gcd(c, b)
+        if g != 1:
+            c, b = c.exact_div(g), b.exact_div(g)
+    return RatFunc._reduced(a * c, b * d)

@@ -450,6 +450,18 @@ def test_an_output_over_the_int_limit_exits_2_naming_the_value(capsys, argv, nam
     assert err == f"error: {name} at t0: integer longer than {_LIMIT} digits\n"
 
 
+def test_mestre_at_a_4000_digit_t0_ends_within_two_seconds():
+    # A1B's cubic at t0 has coefficients of 372,046 and 558,069 bits; its
+    # integer roots are found by Newton from the halved problem, where
+    # bisection would take one evaluation per bit
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellspec", "mestre", "--a", "1", "--b", "1", "--t0", _WIDE_T0],
+        env=_env_with_src(), capture_output=True, text=True, timeout=2,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f"condition A1B at t0={_WIDE_T0}: PASS\n")
+
+
 def test_a_certificate_t0_over_the_int_limit_exits_2_naming_t0(tmp_path, capsys):
     code, out, err = _replay_edited(tmp_path, capsys, lambda doc: doc.update(t0=_LONG), *_SPLIT)
     assert (code, out) == (2, "")

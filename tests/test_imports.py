@@ -9,14 +9,15 @@ statement, since python -O strips them.
 
 Only curves and ratfunc take values into Q(t) (a curve fixes the field
 of its coefficients and points once), so no other module of the package
-reads RatFunc's _coerce or _lift.  Only curves reads the cubic root
-finders, so Curve.two_torsion alone decides a curve's rational 2-torsion;
-conditions may read _q_cubic_roots for A1B's per-t0 test.  In parsing,
-only _tokenize reads the raw text: no other function slices it with
-string methods or re.  The package has one schoolbook product loop,
-intpoly._mul_coeffs, one trailing-zero loop, intpoly._trim, one
-square-and-multiply loop, intpoly._power, and one Horner loop,
-intpoly._horner_homogeneous.
+reads RatFunc's _coerce or _lift.  Only ratfunc reads RatFunc._reduced,
+the constructor that trusts its parts to be coprime.  Only curves reads
+the cubic root finders, so Curve.two_torsion alone decides a curve's
+rational 2-torsion; conditions may read _q_cubic_roots for A1B's per-t0
+test.  In parsing, only _tokenize reads the raw text: no other function
+slices it with string methods or re.  The package has one schoolbook
+product loop, intpoly._mul_coeffs, one trailing-zero loop,
+intpoly._trim, one square-and-multiply loop, intpoly._power, and one
+Horner loop, intpoly._horner_homogeneous.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead code.  An imported name
@@ -363,6 +364,29 @@ def test_the_coercion_scan_flags_readers_outside_the_gates():
         "mestre": ast.parse("def _coerce(v):\n    return v\nx = _coerce(T.x)\n"),
     }
     assert _coercing_modules(program) == ["specialize", "golden"]
+
+
+def _trusted_readers(program: dict[str, ast.Module]) -> list[str]:
+    """Modules other than ratfunc that read the attribute _reduced."""
+    return [
+        module
+        for module, tree in program.items()
+        if module != "ratfunc" and "_reduced" in _attribute_loads(tree)
+    ]
+
+
+def test_only_ratfunc_builds_a_fraction_without_a_gcd():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _trusted_readers(program) == []
+
+
+def test_the_trusted_constructor_scan_flags_readers_outside_ratfunc():
+    program = {
+        "ratfunc": ast.parse("def _prod(a, b, c, d):\n    return RatFunc._reduced(a * c, b * d)\n"),
+        "curves": ast.parse("x = RatFunc._reduced(n, d)\n"),
+        "mestre": ast.parse("def _reduced(n, d):\n    return n\ny = _reduced(1, 2)\n"),
+    }
+    assert _trusted_readers(program) == ["curves"]
 
 
 ROOT_FINDERS = {"_int_cubic_roots", "_qt_cubic_roots", "_q_cubic_roots"}

@@ -43,6 +43,18 @@ def test_construction_multiplies_only_inside_the_gcd(monkeypatch):
     assert len(calls) == in_gcd
 
 
+def test_a_running_sum_takes_no_gcd_of_two_large_parts(monkeypatch):
+    """1/(t+1) + ... + 1/(t+50): Henrici's sums take gcds of a denominator
+    with a linear one, never of the two growing parts."""
+    calls = []
+    monkeypatch.setattr("ellspec.ratfunc.poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    total = RatFunc(0)
+    for i in range(1, 51):
+        total = total + 1 / (t + i)
+    assert total.den.degree == 50 and total.num.degree == 49
+    assert calls and all(min(a.degree, b.degree) < 2 for a, b in calls)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(T, IntPoly())

@@ -1,6 +1,8 @@
 """RatFunc arithmetic against sympy's cancel in Q(t), used here only as an
 oracle, and the canonical form of every result: numerator and denominator
-coprime in Z[t], the denominator's leading coefficient positive."""
+coprime in Z[t], the denominator's leading coefficient positive.  The
+trusted constructor RatFunc._reduced, which fixes only the sign, is
+reached only with coprime parts."""
 
 import operator
 
@@ -64,4 +66,30 @@ def test_field_operations_match_sympy_cancel(f, g, op):
     assert_canonical_and_equal(
         _OPS[op](f, g),
         _OPS[op](to_sympy(f.num) / to_sympy(f.den), to_sympy(g.num) / to_sympy(g.den)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratfuncs, ratfuncs, st.sampled_from(sorted(_OPS)))
+@example(RatFunc(1, IntPoly([1, 1])), RatFunc(1, IntPoly([-1, 1])), "+")  # gcd(b, d) = 1
+@example(RatFunc(1, IntPoly([-1, 0, 1])), RatFunc(IntPoly([0, 1]), IntPoly([-1, 0, 1])), "+")  # gcd(t, d1) = t + 1
+@example(RatFunc(IntPoly([0, 1]), IntPoly([1, 1])), RatFunc(IntPoly([1, 1]), IntPoly([0, 1])), "*")
+@example(RatFunc(IntPoly([0, 3])), RatFunc(IntPoly([0, -6])), "/")
+def test_the_trusted_constructor_sees_only_coprime_parts(f, g, op):
+    if op == "/" and g.is_zero:
+        return
+    seen = []
+    trusted = RatFunc._reduced.__func__
+
+    def checked(cls, n, d):
+        seen.append((n, d))
+        assert sympy.gcd(to_sympy(n), to_sympy(d)) == 1
+        return trusted(cls, n, d)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RatFunc, "_reduced", classmethod(checked))
+        h = _OPS[op](f, g)
+    assert seen
+    assert_canonical_and_equal(
+        h, _OPS[op](to_sympy(f.num) / to_sympy(f.den), to_sympy(g.num) / to_sympy(g.den))
     )
