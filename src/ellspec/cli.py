@@ -231,6 +231,7 @@ def _cmd_mestre(args) -> int:
         ok = conclusion.injectivity_mode in ("certified", "declared")
         return 0 if ok else 1
 
+    g = rational_text(instance.g, "g")
     report = None
     if args.t0 is not None:
         report = mestre.injectivity_report(instance, _t0_arg(args.t0))
@@ -242,7 +243,7 @@ def _cmd_mestre(args) -> int:
             "a": instance.a,
             "b": instance.b,
             "scale": instance.scale,
-            "g": str(instance.g),
+            "g": g,
             "g_factorization": [[str(p), e] for p, e in factor(instance.g).poly_factors],
             "deg_P": dP,
             "deg_Q": dQ,
@@ -254,7 +255,7 @@ def _cmd_mestre(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"(a, b) = ({instance.a}, {instance.b}), scale u = {instance.scale}")
-        print(f"g = {instance.g}")
+        print(f"g = {g}")
         print(f"deg(P) = {dP}, deg(Q) = {dQ}, <P, Q> = {pair}")
         if report is not None:
             print(report.summary())

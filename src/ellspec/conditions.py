@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 
 from .curves import Curve, _q_cubic_roots
 from .factorize import factor
-from .intmath import as_rational, exact_isqrt, is_square_rat, parse_rational, rational_text
+from .intmath import _independent_mod_squares, as_rational, is_square_rat, parse_rational, rational_text
 from .intpoly import IntPoly, _horner_homogeneous
 from .parsing import _parse_integral
 
@@ -147,63 +147,6 @@ def _divisor_products(polys, primes) -> list[tuple[IntPoly, int, tuple[int, ...]
     return out
 
 
-def _coprime_base(values: list[int]) -> list[int]:
-    """Pairwise coprime integers > 1 of which each positive value is a
-    product, found by gcds alone: a base element b and a new x with
-    g = gcd(b, x) > 1 are replaced by g, b/g and x/g until nothing splits.
-    (Bernstein, "Factoring into coprimes in essentially linear time",
-    J. Algorithms 54, 2005, does this in essentially linear time; for the
-    handful of values of one target this quadratic refinement suffices.)"""
-    base: list[int] = []
-    todo = [v for v in values if v > 1]
-    while todo:
-        x = todo.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(b, x)
-            if g > 1:
-                del base[i]
-                todo.extend(y for y in (g, b // g, x // g) if y > 1)
-                break
-        else:
-            base.append(x)
-    return base
-
-
-def _independent_mod_squares(values: list[int], primes: list[int]) -> bool:
-    """Whether the classes of the nonzero integers `values` are linearly
-    independent over F_2 in Q*/Q*^2 modulo W = <-1, primes>.
-
-    Dividing the primes out of |v| leaves the representative of v's class
-    modulo W that is coprime to them.  Over a coprime base of those
-    representatives each is a product of base powers, and the base
-    elements that are not squares have independent classes (each holds a
-    prime to an odd power that no other element holds), so the class is
-    the row of exponent parities on them.  Each row is reduced by the
-    earlier ones, kept in descending order so that their leading bits
-    differ, and a row that reduces to zero is a dependency."""
-    reduced = []
-    for v in values:
-        v = abs(v)
-        for p in primes:
-            while v % p == 0:
-                v //= p
-        reduced.append(v)
-    base = [b for b in _coprime_base(reduced) if exact_isqrt(b) is None]
-    rows: list[int] = []
-    for v in reduced:
-        row = 0
-        for k, b in enumerate(base):
-            while v % b == 0:
-                v //= b
-                row ^= 1 << k
-        for r in rows:
-            row = min(row, row ^ r)
-        if not row:
-            return False
-        rows = sorted(rows + [row], reverse=True)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Target preparation per condition: each target as a tuple of its pieces.
 # ---------------------------------------------------------------------------
@@ -268,7 +211,8 @@ class Checker:
 
     def check(self, t0) -> ConditionReport:
         """The criterion at t0, with every divisor value in the report; a
-        report of more than _DIVISOR_CAP divisors raises ValueError."""
+        report of more than _DIVISOR_CAP divisors raises ValueError, and a
+        listed pass that the rank test of passes denies, AssertionError."""
         t0 = as_rational(t0)
         Dv = self.discriminant(t0)
         report = ConditionReport(
@@ -296,6 +240,9 @@ class Checker:
                 report.checks.append(DivisorCheck(label, h, value, root))
                 if root is not None:
                     report.passed = False
+        # a composite listed as a prime hides divisors, so only a listed pass can be wrong
+        if report.passed and not self._targets_independent(n, m):
+            raise AssertionError(f"rank test and divisor enumeration disagree at t0={t0}")
         if self.condition == "A1B":
             report.notes.append(
                 "diagnostic only: passing is NOT an injectivity certificate"
@@ -320,21 +267,31 @@ class Checker:
         c * prod(g_i(t0), i in T) has the square class of c times the
         product of the v_i = G_i * m^(deg g_i mod 2) over T.  So a target
         passes exactly when no v_i is 0 and the classes of the v_i are
-        independent in Q*/Q*^2 modulo the span W of -1 and its content
-        primes.  A1B also fails at every t0 when its cubic has a root in
-        Q(t), which is found once per Checker, on the first call."""
+        independent in Q*/Q*^2 modulo the span W of -1 and the primes of
+        its content.  W comes from the product of the listed content primes
+        by gcds alone, so a composite listed as a prime cannot make a target
+        pass.  A1B also fails at every t0 when its cubic has a root in Q(t),
+        which is found once per Checker, on the first call."""
         t0 = as_rational(t0)
         if self.condition == "A1B" and self._cubic_has_qt_root:
             return False
         n, m = t0.numerator, t0.denominator
         if _horner_homogeneous(self.discriminant.coeffs, n, m) == 0:
             return False
+        if not self._targets_independent(n, m):
+            return False
+        return self.condition != "A1B" or not self._specialized_cubic_roots(t0)
+
+    def _targets_independent(self, n: int, m: int) -> bool:
+        """Whether at t0 = n/m no factor of a target vanishes and each
+        target's v_i are independent modulo W, which is spanned by -1 and
+        the primes of the product of its content primes."""
         for _, factors, primes in self.targets:
             values = [_horner_homogeneous(g.coeffs, n, m) * (m if g.degree % 2 else 1)
                       for g in factors]
-            if 0 in values or not _independent_mod_squares(values, primes):
+            if 0 in values or not _independent_mod_squares(values, math.prod(primes)):
                 return False
-        return self.condition != "A1B" or not self._specialized_cubic_roots(t0)
+        return True
 
     @cached_property
     def _cubic_has_qt_root(self) -> bool:

@@ -319,8 +319,7 @@ def factor(p: IntPoly) -> Factorization:
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     unit, content, squarefree_parts = squarefree_decompose(p)
-    sign, content_primes = factor_int(content)
-    unit *= sign
+    _, content_primes = factor_int(content)  # content >= 1, so its sign is 1
 
     poly_factors: list[tuple[IntPoly, int]] = []
     for part, mult in squarefree_parts:
@@ -330,7 +329,7 @@ def factor(p: IntPoly) -> Factorization:
 
     return Factorization(
         unit=unit,
-        content_primes=tuple(sorted(content_primes.items())),
+        content_primes=tuple(content_primes.items()),
         poly_factors=tuple(poly_factors),
     )
 

@@ -1,4 +1,5 @@
-"""Integer factorization and exact rational square testing.
+"""Integer factorization, exact square tests in Q and the rank test of
+square classes modulo W.
 
 Python ints are already arbitrary precision and fractions.Fraction is an
 exact rational in lowest terms with positive denominator, so those two
@@ -155,6 +156,60 @@ def exact_isqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
+def _coprime_base(values: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which each positive value is a
+    product, found by gcds alone: a base element b and a new x with
+    g = gcd(b, x) > 1 are replaced by g, b/g and x/g until nothing splits.
+    (Bernstein, "Factoring into coprimes in essentially linear time",
+    J. Algorithms 54, 2005, does this in essentially linear time; for the
+    handful of values of one target this quadratic refinement suffices.)"""
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(b, x)
+            if g > 1:
+                del base[i]
+                todo.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _independent_mod_squares(values: list[int], w: int) -> bool:
+    """Whether the classes of the nonzero integers `values` are linearly
+    independent over F_2 in Q*/Q*^2 modulo W, the span of -1 and the
+    primes of the positive integer w.
+
+    Over a coprime base of w and the |v|, w is a product of base elements,
+    so an element that shares a factor with w has all its primes in w and
+    lies in W.  The other elements that are not squares have independent
+    classes modulo W (each holds a prime to an odd power that neither w
+    nor any other element holds), so a value's class is the row of
+    exponent parities on them.  No prime of w is ever named, so the test
+    needs no primality proof.  Each row is reduced by the earlier ones,
+    kept in descending order so that their leading bits differ, and a row
+    that reduces to zero is a dependency."""
+    base = [b for b in _coprime_base([w, *map(abs, values)])
+            if math.gcd(b, w) == 1 and exact_isqrt(b) is None]
+    rows: list[int] = []
+    for v in values:
+        v = abs(v)
+        row = 0
+        for k, b in enumerate(base):
+            while v % b == 0:
+                v //= b
+                row ^= 1 << k
+        for r in rows:
+            row = min(row, row ^ r)
+        if not row:
+            return False
+        rows = sorted(rows + [row], reverse=True)
+    return True
+
+
 def as_rational(value: Fraction | int) -> Fraction:
     """An int or Fraction as a Fraction, a Fraction unchanged.  Anything
     else, such as a float, str or Decimal, raises TypeError: a float's
@@ -196,9 +251,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(m[0])
 
 
-def rational_text(value: Fraction | int, name: str) -> str:
-    """str(value), or a ValueError that names the value and Python's int
-    conversion limit when a part of value has more digits than that."""
+def rational_text(value: object, name: str) -> str:
+    """str(value) of a rational or of a polynomial over Z, or a ValueError
+    that names the value and Python's int conversion limit when a number
+    in value has more digits than that."""
     try:
         return str(value)
     except ValueError:

@@ -412,6 +412,32 @@ def test_invariant_violation_exits_3_under_python_O():
     assert "not coprime" in proc.stderr
 
 
+_FALSE_PRIME = """
+import sys
+from ellspec import cli, intmath
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+# a composite that Miller-Rabin accepts, as a strong pseudoprime past 3.3 * 10^24 could be
+N = 10000019 * 10000079
+is_probable_prime = intmath.is_probable_prime
+intmath.is_probable_prime = lambda n: n == N or is_probable_prime(n)
+sys.exit(cli.main(["check", "--condition", "A", "--curve", f"e=(0, {N}*t, t + 1)", "--t0", "10000019"]))
+"""
+
+
+def test_a_listed_pass_that_the_rank_test_denies_exits_3_under_python_O():
+    # the listed divisors t and N*t are not squares at 10000019, but the
+    # true divisor 10000019*t is
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FALSE_PRIME],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert "internal invariant violation" in proc.stderr
+    assert "disagree at t0=10000019" in proc.stderr
+
+
 _LIMIT = sys.get_int_max_str_digits()
 _LONG = "1" * 5000
 
@@ -448,6 +474,14 @@ def test_an_output_over_the_int_limit_exits_2_naming_the_value(capsys, argv, nam
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {name} at t0: integer longer than {_LIMIT} digits\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_mestre_names_g_over_the_int_limit(capsys, json_flag):
+    # a has 1,100 digits, inside the limit, and g's coefficients about four times as many
+    code, out, err = run(capsys, "mestre", "--a", "9" * 1100, "--b", "1", *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: g: integer longer than {_LIMIT} digits\n"
 
 
 def test_mestre_at_a_4000_digit_t0_ends_within_two_seconds():

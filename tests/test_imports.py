@@ -5,7 +5,8 @@ read outside its own definition by the program: the package, bench/*.py
 or a function that bench/tracing.py wraps by name.  A test does not
 count as a caller, so library code that only tests call is dead, and no
 name is kept without a caller.  No module of the package holds an assert
-statement, since python -O strips them.
+statement, since python -O strips them, or a float: no float or complex
+literal, no float() or complex() call and no float-valued math function.
 
 Only curves and ratfunc take values into Q(t) (a curve fixes the field
 of its coefficients and points once), so no other module of the package
@@ -738,4 +739,77 @@ def test_the_horner_scan_flags_copied_horner_loops():
         "factorize._eval_at",
         "factorize._gf_eval",
         "parsing._Parser.number",
+    ]
+
+
+# the math names whose values are floats; math.isqrt, gcd, lcm, prod and comb stay exact
+FLOAT_MATH = {
+    "sqrt", "cbrt", "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "pow", "fsum",
+    "hypot", "dist", "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
+    "tanh", "asinh", "acosh", "atanh", "degrees", "radians", "floor", "ceil", "trunc", "fabs",
+    "fmod", "modf", "frexp", "ldexp", "copysign", "erf", "erfc", "gamma", "lgamma",
+    "pi", "e", "tau", "inf", "nan",
+}
+
+
+def _inexact(tree: ast.Module) -> list[str]:
+    """line: what, for each float or complex literal, call of float or
+    complex, and float-valued math name, read as an attribute of the math
+    module (under any alias) or imported from it by name.  The scan sees
+    syntax, not types, so true division of two ints, which gives a float,
+    is out of its reach: `/` is also the exact division of Fraction and
+    RatFunc."""
+    math_aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, f"{type(node.value).__name__} literal {node.value!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex")):
+            found.append((node.lineno, f"{node.func.id}() call"))
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id in math_aliases):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, f"math.{alias.name}")
+                         for alias in node.names if alias.name in FLOAT_MATH)
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda p: p.name)
+def test_no_floating_point_in_the_package(path):
+    assert _inexact(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_exactness_scan_flags_each_kind_and_spares_exact_code():
+    source = ast.parse(
+        "import math\n"
+        "import math as m\n"
+        "from math import gcd, log, isqrt\n"
+        "from fractions import Fraction\n"
+        "def as_rational(value):\n"
+        "    '''Rejects a float: its binary value is not the rational written.'''\n"
+        "    return Fraction(1, 2) + math.isqrt(value) + math.gcd(value, 6) + gcd(4, 6)\n"
+        "def bits(n):\n"
+        "    return math.sqrt(n) + 0.5 + float(n) + m.log2(n) + log(n) + 2j + complex(n, 1)\n"
+        "def root(n):\n"
+        "    return isqrt(n) if n > 1e3 else m.floor(n / math.pi)\n"
+    )
+    assert _inexact(source) == [
+        "3: math.log",
+        "9: complex literal 2j",
+        "9: complex() call",
+        "9: float literal 0.5",
+        "9: float() call",
+        "9: math.log2",
+        "9: math.sqrt",
+        "11: float literal 1000.0",
+        "11: math.floor",
+        "11: math.pi",
     ]

@@ -6,7 +6,9 @@ Random checkers come from the sample curves of each kind, among them
 curves whose cubic has a root in Z[t].  Planted
 targets put chosen values at t0: products that are squares up to sign and
 content primes, values that share a large prime, square base elements 4
-and 9*q^2, and odd-degree factors at a t0 with denominator m > 1.
+and 9*q^2, and odd-degree factors at a t0 with denominator m > 1.  Last,
+a composite listed as a content prime: the rank test still fails where a
+true divisor is a square, and check raises on the listed pass.
 """
 
 import math
@@ -16,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ellspec import intmath
 from ellspec.conditions import (
     BudgetExhausted,
     Checker,
@@ -221,3 +224,39 @@ def test_a_returned_report_that_fails_is_an_invariant_error(monkeypatch):
     assert not check_condition(curve, "scriptA", 0).passed
     with pytest.raises(AssertionError, match="disagree at t0=0"):
         find_t0(curve, "scriptA", SearchBudget(3, 2))
+
+
+# -- a composite listed as a content prime --------------------------------------
+#
+# factor_int proves nothing above 3.3 * 10^24, where a strong pseudoprime
+# can pass Miller-Rabin.  The listed divisors then miss the true primes of
+# the content, so a listed pass can be wrong; W is taken from the content
+# by gcds, so the rank test is not.
+
+
+def test_a_composite_listed_as_a_prime_does_not_make_a_target_pass():
+    checker = _planted_checker([T])
+    [(label, factors, _)] = checker.targets
+    checker.targets = [(label, factors, [P61 * Q])]
+    # P61 * t divides P61 * Q * t and is P61^2 at P61, but only t and
+    # P61 * Q * t are listed, and neither is a square there
+    assert not checker.passes(P61)
+    with pytest.raises(AssertionError, match=f"disagree at t0={P61}"):
+        checker.check(P61)
+    assert checker.passes(P61 + 2) and checker.check(P61 + 2).passed
+
+
+PSEUDOPRIME = 10000019 * 10000079
+
+
+@pytest.mark.parametrize("condition", ["A", "Aprime"])
+def test_a_pseudoprime_content_fails_where_its_factor_squares(monkeypatch, condition):
+    is_probable_prime = intmath.is_probable_prime
+    monkeypatch.setattr(intmath, "is_probable_prime",
+                        lambda n: n == PSEUDOPRIME or is_probable_prime(n))
+    checker = Checker(parse_curve(f"e=(0, {PSEUDOPRIME}*t, t + 1)"), condition)
+    assert checker.targets[0][2] == [PSEUDOPRIME]
+    # the divisor 10000019 * t takes the value 10000019^2 at t0 = 10000019
+    assert not checker.passes(10000019)
+    with pytest.raises(AssertionError, match="disagree at t0=10000019"):
+        checker.check(10000019)
