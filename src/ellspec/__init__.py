@@ -22,6 +22,7 @@ from .conditions import (
 )
 from .curves import Curve, O, OffCurveError, Point, SingularCurveError
 from .factorize import Factorization, factor, rational_roots
+from .intmath import InvariantError
 from .intpoly import IntPoly, cubic_discriminant, poly_gcd, squarefree_decompose
 from .mestre import (
     GeneratorConclusion,
@@ -53,6 +54,7 @@ __all__ = [
     "Factorization",
     "GeneratorConclusion",
     "IntPoly",
+    "InvariantError",
     "MestreInstance",
     "O",
     "OffCurveError",

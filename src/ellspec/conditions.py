@@ -28,7 +28,14 @@ from typing import Iterator, Optional
 
 from .curves import Curve, _q_cubic_roots
 from .factorize import factor
-from .intmath import _independent_mod_squares, as_rational, is_square_rat, parse_rational, rational_text
+from .intmath import (
+    InvariantError,
+    _independent_mod_squares,
+    as_rational,
+    is_square_rat,
+    parse_rational,
+    rational_text,
+)
 from .intpoly import IntPoly, _horner_homogeneous
 from .parsing import _parse_integral
 
@@ -212,7 +219,7 @@ class Checker:
     def check(self, t0) -> ConditionReport:
         """The criterion at t0, with every divisor value in the report; a
         report of more than _DIVISOR_CAP divisors raises ValueError, and a
-        listed pass that the rank test of passes denies, AssertionError."""
+        listed pass that the rank test of passes denies, InvariantError."""
         t0 = as_rational(t0)
         Dv = self.discriminant(t0)
         report = ConditionReport(
@@ -242,7 +249,7 @@ class Checker:
                     report.passed = False
         # a composite listed as a prime hides divisors, so only a listed pass can be wrong
         if report.passed and not self._targets_independent(n, m):
-            raise AssertionError(f"rank test and divisor enumeration disagree at t0={t0}")
+            raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
         if self.condition == "A1B":
             report.notes.append(
                 "diagnostic only: passing is NOT an injectivity certificate"
@@ -347,7 +354,7 @@ def find_t0(
         if checker.passes(t0):
             report = checker.check(t0)
             if not report.passed:
-                raise AssertionError(f"rank test and divisor enumeration disagree at t0={t0}")
+                raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
             return report
     raise BudgetExhausted(
         f"no t0 passing condition {condition} within {budget} (not a disproof)"

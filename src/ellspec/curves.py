@@ -72,10 +72,12 @@ class Curve:
         if over_qt:
             # x = X/d turns the cubic into the monic X^3 + aX^2 + bX + c with
             # a, b, c = dA, d^2B, d^3C in Z[t], d the product of the
-            # denominators; its discriminant is d^6 times that of the cubic
-            d = self.A.den * self.B.den * self.C.den
+            # denominators; its discriminant is d^6 times that of the cubic.
+            # With d = 1 the model is the numerators themselves.
+            dens = (self.A.den, self.B.den, self.C.den)
+            d = 1 if dens == (1, 1, 1) else dens[0] * dens[1] * dens[2]
             self._model = tuple(
-                (d**k * f.num).exact_div(f.den)
+                f.num if d == 1 else (d**k * f.num).exact_div(f.den)
                 for k, f in ((1, self.A), (2, self.B), (3, self.C))
             )
             self._model_den = d
@@ -93,12 +95,14 @@ class Curve:
         D = d1 d2 d3, A, B and C are -s1 / D, s2 / D^2 and -s3 / D^3 for the
         elementary symmetric polynomials s_k of n1, n2, n3, each reduced once."""
         roots = tuple(RatFunc._coerce(e) for e in (e1, e2, e3))
-        D = roots[0].den * roots[1].den * roots[2].den
-        n1, n2, n3 = (e.num * D.exact_div(e.den) for e in roots)
+        dens = tuple(e.den for e in roots)
+        D = 1 if dens == (1, 1, 1) else dens[0] * dens[1] * dens[2]
+        n1, n2, n3 = (e.num if D == 1 else e.num * D.exact_div(e.den) for e in roots)
+        n12 = n1 * n2
         curve = cls(
             RatFunc(-(n1 + n2 + n3), D),
-            RatFunc(n1 * n2 + n1 * n3 + n2 * n3, D * D),
-            RatFunc(-(n1 * n2 * n3), D * D * D),
+            RatFunc(n12 + (n1 + n2) * n3, D * D),
+            RatFunc(-(n12 * n3), D * D * D),
         )
         curve.split_roots = roots
         return curve

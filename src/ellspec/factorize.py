@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .intmath import FactorBudgetError, factor_int, is_probable_prime
+from .intmath import FactorBudgetError, InvariantError, factor_int, is_probable_prime
 from .intpoly import IntPoly, _mul_coeffs, _power, _trim, squarefree_decompose
 
 __all__ = ["Factorization", "factor", "rational_roots"]
@@ -197,7 +197,7 @@ def _hensel_lift(p: int, pl: int, f: list[int], mod_factors: list[list[int]]) ->
         h = _gf_mul(h, fi, p)
     s, t, one = _gf_gcdex(g, h, p)
     if one != [1]:
-        raise AssertionError(f"Hensel factors are not coprime mod {p}")
+        raise InvariantError(f"Hensel factors are not coprime mod {p}")
 
     m = p
     while m < pl:

@@ -20,6 +20,7 @@ __all__ = [
     "is_probable_prime",
     "factor_int",
     "FactorBudgetError",
+    "InvariantError",
     "exact_isqrt",
     "as_rational",
     "is_square_rat",
@@ -67,6 +68,12 @@ def is_probable_prime(n: int) -> bool:
 class FactorBudgetError(ValueError):
     """A factorization ran past its budget: Pollard rho's _RHO_BUDGET steps,
     or the subsets of factorize._RECOMBINATION_BUDGET."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant broke: a fault of the program, not of its input.
+    It is raised explicitly, so python -O keeps it, and it is an
+    AssertionError, which the CLI maps to exit 3."""
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

@@ -98,9 +98,7 @@ class IntPoly:
     def __add__(self, other) -> "IntPoly":
         if not isinstance(other, (IntPoly, int)):
             return NotImplemented  # let richer rings (Q(t)) handle it
-        other = IntPoly.coerce(other)
-        n = max(len(self._c), len(other._c))
-        return IntPoly(self[i] + other[i] for i in range(n))
+        return IntPoly(_add_coeffs(self._c, IntPoly.coerce(other)._c))
 
     __radd__ = __add__
 
@@ -230,11 +228,20 @@ class IntPoly:
         return f"IntPoly({self})"
 
 
-def _trim(c: list) -> list:
-    """Drop the trailing zeros of a coefficient list in place; returns it."""
-    while c and c[-1] == 0:
+def _trim(c: list, zero=0) -> list:
+    """Drop the trailing zeros of a coefficient list in place, over any
+    ring whose zero is `zero`; returns it."""
+    while c and c[-1] == zero:
         c.pop()
     return c
+
+
+def _add_coeffs(f, g, add=operator.add, zero=0) -> list:
+    """Sum of two coefficient sequences, lowest degree first, over the ring
+    whose sum is `add` and whose zero is `zero`; the result is trimmed."""
+    if len(f) < len(g):
+        f, g = g, f
+    return _trim([*map(add, f, g), *f[len(g) :]], zero)
 
 
 def _mul_coeffs(f, g, zero=0) -> list:
@@ -265,14 +272,11 @@ def _power(base, e: int, one, mul=operator.mul):
 def cubic_discriminant(A, B, C):
     """Discriminant of x^3 + A x^2 + B x + C, computed in the ring of
     A, B and C: an IntPoly for coefficients in Z[t], a Fraction for
-    coefficients in Q."""
-    return (
-        18 * A * B * C
-        - 4 * A * A * A * C
-        + A * A * B * B
-        - 4 * B * B * B
-        - 27 * C * C
-    )
+    coefficients in Q.  It is 18ABC - 4A^3C + A^2B^2 - 4B^3 - 27C^2,
+    grouped as B^2 (A^2 - 4B) + C (18AB - 4A^3 - 27C) so that A^2 is
+    formed once: ten products instead of fifteen."""
+    AA = A * A
+    return B * B * (AA - 4 * B) + C * (18 * A * B - 4 * AA * A - 27 * C)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -25,8 +25,8 @@ from .conditions import (
     _certificate_doc,
     check_condition,
 )
-from .curves import Curve, Point
-from .intmath import as_rational, factor_int
+from .curves import Curve, OffCurveError, Point
+from .intmath import InvariantError, as_rational, factor_int
 from .intpoly import IntPoly, poly_gcd, squarefree_decompose
 from .ratfunc import RatFunc
 
@@ -101,17 +101,20 @@ def build(a, b) -> MestreInstance:
 
     g = twist_polynomial(ai, bi)
     if not degree_obstruction(g):
-        raise AssertionError("twist polynomial must be squarefree of degree 14")
+        raise InvariantError("twist polynomial must be squarefree of degree 14")
 
     rg = RatFunc(g)
     curve = Curve(0, ai * g * g, bi * g * g * g)
 
     ratio = Fraction(-bi, ai) * RatFunc(_T4T21, _T2P1)
-    P = curve.point(ratio * rg, rg * rg / (ai * ai * _T2P1 * _T2P1))
-    Q = curve.point(
-        ratio / RatFunc(_T * _T) * rg,
-        rg * rg / RatFunc(ai * ai * _T**3 * _T2P1 * _T2P1),
-    )
+    try:
+        P = curve.point(ratio * rg, rg * rg / (ai * ai * _T2P1 * _T2P1))
+        Q = curve.point(
+            ratio / RatFunc(_T * _T) * rg,
+            rg * rg / RatFunc(ai * ai * _T**3 * _T2P1 * _T2P1),
+        )
+    except OffCurveError:
+        raise InvariantError(f"a canonical point of the twist member ({ai}, {bi}) is off its curve") from None
     return MestreInstance(a=ai, b=bi, scale=u, g=g, curve=curve, P=P, Q=Q)
 
 

@@ -4,18 +4,23 @@ Grammar (also used by the printers, so parse-print-parse is a fixpoint):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := ('-')* base ('^' uint)?
+    factor := ('+'|'-')* base ('^' uint)?
     base   := uint | 't' | 'x' | '(' expr ')'
 
-Values are built in Z[t] over one common denominator and each output
-coefficient is reduced in Q(t) once, at the end.  Division is only
-allowed by x-free subexpressions.  An exponent, a power, a product or a
-sum whose degree in t or x, counted before cancellation, would exceed
-MAX_DEGREE is rejected before it is computed, and so are parentheses
-nested deeper than MAX_NESTING.  Each input is read as one token stream,
-so every error offset indexes the whole text.  Curves accept three forms:
-"e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." with each key once,
-and the equation form "y^2 = x^3 + ...".
+A value is a polynomial in x held as plain lists: the Z[t] numerators of
+its coefficients, each a list of ints, over one common Z[t] denominator,
+which stays 1 until a '/' divides.  Each output coefficient becomes one
+RatFunc, reduced once, at the end.  An x-free value divided by a
+non-constant is held as a RatFunc instead, whose sums and products cancel
+small gcds as they go (Henrici), so a long sum of fractions takes no large
+gcd.  Division is only allowed by x-free subexpressions.  An exponent, a
+power, a product or a sum whose degree in t or x, counted on the operands
+as they are held, would exceed MAX_DEGREE is rejected before it is
+computed, and so are parentheses nested deeper than MAX_NESTING.  Each
+input is read as one token stream, so every error offset indexes the whole
+text.  Curves accept three forms: "e=(p1,p2,p3)" (split model),
+"A=...; B=...; C=..." with each key once, and the equation form
+"y^2 = x^3 + ...".
 """
 
 from __future__ import annotations
@@ -24,14 +29,13 @@ import re
 import sys
 
 from .curves import Curve, O, Point
-from .intpoly import IntPoly, _mul_coeffs, _power, _trim
+from .intpoly import IntPoly, _add_coeffs, _mul_coeffs, _power, _trim
 from .ratfunc import RatFunc
 
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
 
 MAX_DEGREE = 1000
 MAX_NESTING = 100
-_ONE = IntPoly.const(1)
 
 
 class ParseError(ValueError):
@@ -64,43 +68,75 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         pos = m.end()
 
 
-class _XPoly:
-    """Polynomial in x with Q(t) coefficients nums[i] / den, held as
-    unreduced Z[t] data and used only while parsing."""
+_ONE_T = [1]
+_ONE_VALUE = ([_ONE_T], _ONE_T)
+_ONE_Q = RatFunc(1)
 
-    __slots__ = ("nums", "den")
 
-    def __init__(self, nums, den=_ONE):
-        self.nums = _trim(list(nums))
-        self.den = den
+def _mul_x(f: list, g: list) -> list:
+    """Product of two polynomials in x over Z[t]: both are packed by x ->
+    t^s, with s above every t-degree of the product, so one product of
+    int lists computes it."""
+    if not f or not g:
+        return []
+    s = max(map(len, f)) + max(map(len, g))
+    f, g = ([c for n in h[:-1] for c in n + [0] * (s - len(n))] + h[-1] for h in (f, g))
+    packed = _mul_coeffs(f, g)
+    return _trim([_trim(packed[i : i + s]) for i in range(0, len(packed), s)], [])
 
-    def coeff(self, i: int) -> RatFunc:
-        """The coefficient of x^i, reduced in Q(t)."""
-        return RatFunc(self.nums[i] if i < len(self.nums) else IntPoly(), self.den)
 
-    @property
-    def degree(self) -> int:
-        """Largest degree in x, or in t of a numerator or the denominator."""
-        return max(len(self.nums) - 1, self.den.degree, *(n.degree for n in self.nums))
+def _lists(v):
+    """A value as (numerators, denominator) lists, also when held as a RatFunc."""
+    return (_trim([list(v.num.coeffs)], []), list(v.den.coeffs)) if isinstance(v, RatFunc) else v
 
-    def __add__(self, other):
-        a = [n * other.den for n in self.nums]
-        b = [n * self.den for n in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        return _XPoly([p + q for p, q in zip(a, b)] + a[len(b) :], self.den * other.den)
 
-    def __neg__(self):
-        return _XPoly([-n for n in self.nums], self.den)
+def _degree(v) -> int:
+    """Largest degree in x, or in t of a numerator or the denominator."""
+    nums, den = _lists(v)
+    return max(len(nums) - 1, len(den) - 1, *(len(n) - 1 for n in nums))
 
-    def __sub__(self, other):
-        return self + (-other)
 
-    def __mul__(self, other):
-        return _XPoly(_mul_coeffs(self.nums, other.nums, IntPoly()), self.den * other.den)
+def _in_qt(a, b) -> bool:
+    """Whether a op b is computed in Q(t): both are x-free and one is held there."""
+    held = isinstance(a, RatFunc) or isinstance(b, RatFunc)
+    return held and max(len(_lists(a)[0]), len(_lists(b)[0])) <= 1
 
-    def __pow__(self, e: int):
-        return _power(self, e, _XPoly([_ONE]))
+
+def _ratfunc(v) -> RatFunc:
+    """An x-free value as an element of Q(t): its numerator enters as n/1,
+    which takes no gcd, and the division cancels gcd(n, den) alone."""
+    if isinstance(v, RatFunc):
+        return v
+    nums, den = v
+    return _ONE_Q * IntPoly(nums[0] if nums else ()) / IntPoly(den)
+
+
+def _coeff(v, i: int = 0) -> RatFunc:
+    """The coefficient of x^i, reduced in Q(t) once."""
+    if isinstance(v, RatFunc):
+        return v
+    nums, den = v
+    return RatFunc(IntPoly(nums[i] if i < len(nums) else ()), IntPoly(den))
+
+
+def _neg(v):
+    return -v if isinstance(v, RatFunc) else ([[-c for c in n] for n in v[0]], v[1])
+
+
+def _add(a, b):
+    if _in_qt(a, b):
+        return _ratfunc(a) + _ratfunc(b)
+    (f, d), (g, e) = _lists(a), _lists(b)
+    if d != e:
+        f, g, d = _mul_x(f, [e]), _mul_x(g, [d]), _mul_x([d], [e])[0]
+    return _add_coeffs(f, g, _add_coeffs, []), d
+
+
+def _mul(a, b):
+    if _in_qt(a, b):
+        return _ratfunc(a) * _ratfunc(b)
+    (f, d), (g, e) = _lists(a), _lists(b)
+    return _mul_x(f, g), d if e == _ONE_T else _mul_x([d], [e])[0]
 
 
 def _check_degree(degree: int, pos: int) -> None:
@@ -152,40 +188,45 @@ class _Parser:
             self.expect_op(",")
             values.append(self.parse_expr())
         self.expect_op(")")
-        return [v.coeff(0) for v in values]
+        return [_coeff(v) for v in values]
 
-    def parse_expr(self) -> _XPoly:
+    def parse_expr(self):
         value = self.parse_term()
         while True:
             kind, op, pos = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                _check_degree(max(value.degree + rhs.den.degree, rhs.degree + value.den.degree), pos)
-                value = value + rhs if op == "+" else value - rhs
+                dens = len(_lists(value)[1]) - 1, len(_lists(rhs)[1]) - 1
+                _check_degree(max(_degree(value) + dens[1], _degree(rhs) + dens[0]), pos)
+                value = _add(value, rhs if op == "+" else _neg(rhs))
             else:
                 return value
 
-    def parse_term(self) -> _XPoly:
+    def parse_term(self):
         value = self.parse_factor()
         while True:
             kind, op, pos = self.peek()
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.parse_factor()
-                _check_degree(value.degree + rhs.degree, pos)
+                _check_degree(_degree(value) + _degree(rhs), pos)
                 if op == "*":
-                    value = value * rhs
+                    value = _mul(value, rhs)
+                    continue
+                g, e = _lists(rhs)
+                if len(g) > 1:
+                    raise ParseError("division by an x-dependent expression", pos)
+                if not g:
+                    raise ParseError("division by zero", pos)
+                if isinstance(value, RatFunc) or len(value[0]) <= 1 and (len(g[0]) > 1 or len(e) > 1):
+                    value = _ratfunc(value) / _ratfunc(rhs)
                 else:
-                    if len(rhs.nums) > 1:
-                        raise ParseError("division by an x-dependent expression", pos)
-                    if not rhs.nums:
-                        raise ParseError("division by zero", pos)
-                    value = value * _XPoly([rhs.den], rhs.nums[0])
+                    value = _mul(value, ([e], g[0]))
             else:
                 return value
 
-    def parse_factor(self) -> _XPoly:
+    def parse_factor(self):
         negate = False
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             negate ^= self.advance()[1] == "-"
@@ -198,20 +239,20 @@ class _Parser:
                 raise ParseError("expected a nonnegative integer exponent", pos)
             if exp > MAX_DEGREE:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", pos)
-            _check_degree(exp * base.degree, pos)
+            _check_degree(exp * _degree(base), pos)
             self.advance()
-            base = base**exp
-        return -base if negate else base
+            base = _power(base, exp, _ONE_VALUE, _mul)
+        return _neg(base) if negate else base
 
-    def parse_base(self) -> _XPoly:
+    def parse_base(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return _XPoly([IntPoly.const(value)])
+            return [[value]] if value else [], _ONE_T
         if kind == "name":
             if value == "t":
-                return _XPoly([IntPoly.monomial(1, 1)])
+                return [[0, 1]], _ONE_T
             if value == "x" and self.allow_x:
-                return _XPoly([IntPoly(), _ONE])
+                return [[], [1]], _ONE_T
             raise ParseError(f"unexpected symbol {value!r}", pos)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
@@ -229,7 +270,7 @@ def parse_ratfunc(text: str) -> RatFunc:
     parser = _Parser(text)
     value = parser.parse_expr()
     parser.expect_end()
-    return value.coeff(0)
+    return _coeff(value)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -255,11 +296,11 @@ def parse_curve(text: str) -> Curve:
     if parser.accept(("name", "y"), ("op", "^"), ("int", 2), ("op", "=")):
         parser.allow_x = True
         start = parser.peek()[2]
-        rhs = parser.parse_expr()
+        rhs = _lists(parser.parse_expr())
         parser.expect_end()
-        if len(rhs.nums) != 4 or rhs.nums[3] != rhs.den:
+        if len(rhs[0]) != 4 or rhs[0][3] != rhs[1]:
             raise ParseError("right-hand side must be a monic cubic in x", start)
-        return Curve(rhs.coeff(2), rhs.coeff(1), rhs.coeff(0))
+        return Curve(_coeff(rhs, 2), _coeff(rhs, 1), _coeff(rhs, 0))
     kind, key, pos = parser.peek()
     if (kind, key) != ("name", "A"):
         raise ParseError("curve must start with 'e=', 'A=' or 'y^2='", pos)
@@ -271,7 +312,7 @@ def parse_curve(text: str) -> Curve:
         if key in values:
             raise ParseError(f"coefficient {key!r} given twice", pos)
         parser.expect_op("=")
-        values[key] = parser.parse_expr().coeff(0)
+        values[key] = _coeff(parser.parse_expr())
         if parser.peek()[0] == "end":
             break
         parser.expect_op(";", ",")

@@ -18,6 +18,8 @@ from .intpoly import IntPoly, _power, poly_gcd
 
 __all__ = ["RatFunc"]
 
+_ONE = IntPoly.const(1)
+
 
 class RatFunc:
     """Immutable element of Q(t)."""
@@ -86,7 +88,7 @@ class RatFunc:
             # already in lowest terms, with a positive denominator
             return cls._reduced(IntPoly.const(other.numerator), IntPoly.const(other.denominator))
         if isinstance(other, (int, IntPoly)):
-            return cls(other)
+            return cls._reduced(IntPoly.coerce(other), _ONE)  # n/1 is canonical
         raise TypeError(f"cannot interpret {other!r} as an element of Q(t)")
 
     def __add__(self, other):

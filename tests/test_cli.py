@@ -438,6 +438,48 @@ def test_a_listed_pass_that_the_rank_test_denies_exits_3_under_python_O():
     assert "disagree at t0=10000019" in proc.stderr
 
 
+_PATCHED_SITE = """
+import sys
+from fractions import Fraction
+from ellspec import cli, conditions, mestre
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+{patch}
+sys.exit(cli.main({argv!r}))
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        (
+            "conditions.Checker.passes = lambda self, t0: True",
+            ["find-t0", "--condition", "A", "--curve", "e=(0, t, 7*t+1)"],
+            "disagree at t0=0",
+        ),
+        (
+            "mestre.degree_obstruction = lambda g: False",
+            ["mestre", "--a", "2", "--b", "12"],
+            "must be squarefree of degree 14",
+        ),
+        (
+            "mestre.Fraction = lambda n, d: Fraction(2 * n, d)",  # a wrong canonical x(P) and x(Q)
+            ["mestre", "--a", "2", "--b", "12"],
+            "canonical point of the twist member (2, 12) is off its curve",
+        ),
+    ],
+    ids=["find-t0 report", "twist degree", "canonical points"],
+)
+def test_each_broken_invariant_exits_3_under_python_O(patch, argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PATCHED_SITE.format(patch=patch, argv=argv)],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr.startswith("internal invariant violation: ") and message in proc.stderr
+
+
 _LIMIT = sys.get_int_max_str_digits()
 _LONG = "1" * 5000
 

@@ -276,6 +276,25 @@ def test_from_roots_reduces_each_coefficient_once(monkeypatch, roots):
     assert curve.split_roots == roots
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Curve(T + 1, 3 * T, T * T - 2),
+        lambda: Curve.from_roots(RatFunc(0), t, 7 * t + 1),
+    ],
+    ids=["coefficients", "integral roots"],
+)
+def test_an_integral_model_takes_no_division(monkeypatch, build):
+    """Over Z[t] the model is the numerators themselves: nothing is divided
+    by a denominator of 1."""
+    calls = []
+    divmod_exact = IntPoly.divmod_exact
+    monkeypatch.setattr(IntPoly, "divmod_exact", lambda self, d: calls.append(d) or divmod_exact(self, d))
+    curve = build()
+    assert calls == []
+    assert curve.coeff_polys() == tuple(f.num for f in (curve.A, curve.B, curve.C))
+
+
 def _field_discriminant(curve):
     """The cubic's discriminant spelled out in the coefficient field."""
     a, b, c = curve.A, curve.B, curve.C

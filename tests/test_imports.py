@@ -534,23 +534,36 @@ def _is_product_loop(outer: ast.AST) -> bool:
 
 
 def _is_trim_loop(node: ast.AST) -> bool:
-    """A while loop that tests an element [-1] and pops."""
+    """A while loop that tests an element [-1] and pops, or one that tests
+    an element [k - 1] and decrements k."""
     if not isinstance(node, ast.While):
         return False
+    indices = [n.slice for n in ast.walk(node.test) if isinstance(n, ast.Subscript)]
+    body = [n for stmt in node.body for n in ast.walk(stmt)]
     reads_last = any(
-        isinstance(n, ast.Subscript)
-        and isinstance(n.slice, ast.UnaryOp)
-        and isinstance(n.slice.op, ast.USub)
-        and isinstance(n.slice.operand, ast.Constant)
-        and n.slice.operand.value == 1
-        for n in ast.walk(node.test)
+        isinstance(i, ast.UnaryOp)
+        and isinstance(i.op, ast.USub)
+        and isinstance(i.operand, ast.Constant)
+        and i.operand.value == 1
+        for i in indices
     )
     pops = any(
-        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "pop"
-        for stmt in node.body
-        for n in ast.walk(stmt)
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "pop" for n in body
     )
-    return reads_last and pops
+    below = {
+        i.left.id
+        for i in indices
+        if isinstance(i, ast.BinOp)
+        and isinstance(i.op, ast.Sub)
+        and isinstance(i.left, ast.Name)
+        and isinstance(i.right, ast.Constant)
+        and i.right.value == 1
+    }
+    decrements = any(
+        isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Sub) and getattr(n.target, "id", None) in below
+        for n in body
+    )
+    return reads_last and pops or decrements
 
 
 def _kernel_loops(program: dict[str, ast.Module], is_loop) -> list[str]:
@@ -603,14 +616,28 @@ def test_the_kernel_scan_flags_copied_product_and_trim_loops():
         "                out[i + j] = out[i + j] + a * b\n"
         "        return _XPoly(out, self.den * other.den)\n"
     )
+    ratfunc = ast.parse(
+        "def _numerators(nums):\n"
+        "    k = len(nums)\n"
+        "    while k and not nums[k - 1]:\n"
+        "        k -= 1\n"
+        "    return nums[:k]\n"
+    )
     intmath = ast.parse(
         "def walk(stack):\n"
         "    while stack:\n"
         "        m = stack.pop()\n"
+        "def countdown(k, nums):\n"
+        "    while k and nums[k]:\n"
+        "        k -= 1\n"
     )
-    program = {"factorize": factorize, "parsing": parsing, "intmath": intmath}
+    program = {"factorize": factorize, "parsing": parsing, "ratfunc": ratfunc, "intmath": intmath}
     assert _kernel_loops(program, _is_product_loop) == ["factorize._gf_mul", "parsing._XPoly.__mul__"]
-    assert _kernel_loops(program, _is_trim_loop) == ["factorize._gf_trim", "parsing._XPoly.__init__"]
+    assert _kernel_loops(program, _is_trim_loop) == [
+        "factorize._gf_trim",
+        "parsing._XPoly.__init__",
+        "ratfunc._numerators",
+    ]
 
 
 def _is_power_loop(node: ast.AST) -> bool:

@@ -144,6 +144,23 @@ def test_cubic_discriminant_matches_definition():
         assert cubic_discriminant(A, B, C)(0) == expected
 
 
+def test_cubic_discriminant_matches_sympy():
+    """Against sympy's discriminant of x^3 + Ax^2 + Bx + C, over Z[t] with
+    A, B, C of degree up to 4 and over Q."""
+    sympy = pytest.importorskip("sympy")
+    t, x = sympy.symbols("t x")
+    rng = random.Random(11)
+    for _ in range(20):
+        A, B, C = (IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]) for _ in range(3))
+        A_, B_, C_ = (sum(c * t**i for i, c in enumerate(p.coeffs)) for p in (A, B, C))
+        expected = sympy.Poly(sympy.discriminant(x**3 + A_ * x**2 + B_ * x + C_, x), t)
+        assert cubic_discriminant(A, B, C) == IntPoly(int(c) for c in reversed(expected.all_coeffs()))
+        a, b, c = (Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(3))
+        a_, b_, c_ = map(sympy.Rational, (a, b, c))
+        expected = sympy.discriminant(x**3 + a_ * x**2 + b_ * x + c_, x)
+        assert cubic_discriminant(a, b, c) == Fraction(int(expected.p), int(expected.q))
+
+
 def test_cubic_discriminant_vanishes_on_repeated_roots():
     # (x - t)^2 (x + 2t) = x^3 - 3t^2 x + 2t^3
     D = cubic_discriminant(IntPoly(), -3 * T**2, 2 * T**3)

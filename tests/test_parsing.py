@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ellspec import parsing
 from ellspec.curves import Curve, O
-from ellspec.intpoly import IntPoly
+from ellspec.intpoly import IntPoly, poly_gcd
 from ellspec.parsing import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -99,6 +101,60 @@ def test_long_sum_parses_quickly():
     assert time.perf_counter() - start < 2.0
     assert f.den.degree == n
     assert f(Fraction(1)) == sum(Fraction(1, k + 1) for k in range(1, n + 1))
+
+
+def _fraction_sum(n: int) -> str:
+    return " + ".join(f"1/(t+{k})" for k in range(1, n + 1))
+
+
+def test_a_long_sum_takes_no_gcd_of_two_large_parts(monkeypatch):
+    """Each 1/(t+k) is held in Q(t) and added by Henrici's rule, so the
+    running sum never meets a gcd of its whole numerator and denominator."""
+    calls = []
+    monkeypatch.setattr("ellspec.ratfunc.poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    f = parse_ratfunc(_fraction_sum(50))
+    assert f.den.degree == 50 and f.num.degree == 49
+    assert calls and all(min(a.degree, b.degree) < 2 for a, b in calls)
+
+
+def test_a_sum_of_600_fractions_parses_in_a_bounded_time():
+    src = os.path.dirname(os.path.dirname(parsing.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "from ellspec.parsing import parse_ratfunc\n"
+        "print(parse_ratfunc(sys.stdin.read()).den.degree)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=_fraction_sum(600), env=env, capture_output=True, text=True, timeout=8,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "600\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        ("A=-t + 6; B=t^2 - t + 10; C=-t^3 + t^2 + 5*t + 3", 24),
+        ("e=(0, -t - 2, 3*t + 1)", 36),
+        ("y^2 = x^3 + (t + 3)*x^2 + (-t^3 + 2*t^2 - 3*t + 4)*x", 24),
+    ],
+    ids=["coefficient form", "split form", "equation form"],
+)
+def test_parsing_a_curve_builds_few_polynomials(monkeypatch, text, bound):
+    """The parser computes on coefficient lists and builds one IntPoly per
+    output part; the rest is the curve's own model and discriminant."""
+    built = 0
+    init = IntPoly.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(IntPoly, "__init__", counting_init)
+    parse_curve(text)
+    assert built <= bound
 
 
 @pytest.mark.parametrize(
