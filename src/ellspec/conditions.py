@@ -427,7 +427,9 @@ def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
     evaluation; returns (matches, fresh_report) where matches is True iff
     the stored document equals the fresh report's certificate in every
     field.  A document that lacks a field, or whose curve or t0 cannot be
-    read, raises ValueError.
+    read, raises ValueError.  factor is memoized per process on its 1024
+    most recently used inputs, so a replay in the process that ran the check
+    reuses the check's factorizations; a fresh process factors again.
     """
     if isinstance(doc, str):
         try:

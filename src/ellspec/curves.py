@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .factorize import _mignotte_bound
 from .intmath import as_rational
-from .intpoly import IntPoly, _from_balanced_digits, _horner_homogeneous, _power, cubic_discriminant
+from .intpoly import (
+    IntPoly,
+    _exact_quotient,
+    _from_balanced_digits,
+    _horner_homogeneous,
+    _power,
+    cubic_discriminant,
+)
 from .ratfunc import RatFunc
 
 __all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError"]
@@ -77,7 +84,7 @@ class Curve:
             dens = (self.A.den, self.B.den, self.C.den)
             d = 1 if dens == (1, 1, 1) else dens[0] * dens[1] * dens[2]
             self._model = tuple(
-                f.num if d == 1 else (d**k * f.num).exact_div(f.den)
+                f.num if d == 1 else _exact_quotient(d**k * f.num, f.den)
                 for k, f in ((1, self.A), (2, self.B), (3, self.C))
             )
             self._model_den = d
@@ -97,7 +104,7 @@ class Curve:
         roots = tuple(RatFunc._coerce(e) for e in (e1, e2, e3))
         dens = tuple(e.den for e in roots)
         D = 1 if dens == (1, 1, 1) else dens[0] * dens[1] * dens[2]
-        n1, n2, n3 = (e.num if D == 1 else e.num * D.exact_div(e.den) for e in roots)
+        n1, n2, n3 = (e.num if D == 1 else e.num * _exact_quotient(D, e.den) for e in roots)
         n12 = n1 * n2
         curve = cls(
             RatFunc(-(n1 + n2 + n3), D),

@@ -14,6 +14,7 @@ FactorBudgetError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -314,8 +315,15 @@ class Factorization:
         return math.prod(powers, start=IntPoly.const(self.unit))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def factor(p: IntPoly) -> Factorization:
-    """Full irreducible factorization of a nonzero element of Z[t]."""
+    """Full irreducible factorization of a nonzero element of Z[t].
+
+    Memoized per process on the 1024 most recently used inputs: an IntPoly is
+    immutable and a Factorization frozen, so a replay after its check, or
+    a later request about the same curve, factors nothing again.  typed
+    keeps factor(5) an error, though IntPoly(5) equals and hashes as 5.
+    Errors, FactorBudgetError among them, are not memoized."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     unit, content, squarefree_parts = squarefree_decompose(p)

@@ -29,9 +29,11 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 10**6
-# Pollard rho steps per cofactor.  Rho needs about sqrt(p) steps to find
-# a prime factor p, so this splits a product of two primes of up to about
-# 10^10 and fails on larger ones in well under a second.
+# Pollard rho steps per factor_int call, shared by every cofactor it
+# splits.  Rho needs about sqrt(p) steps to find a prime factor p, so this
+# splits a product of two primes of up to about 10^10 (in 0.07 s).  A step
+# is a product mod the cofactor, so running out takes 0.4 s at 40 digits,
+# 0.85 s at 100 and 2.0 s at 200 (2 vCPUs, Python 3.11).
 _RHO_BUDGET = 2**19
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
@@ -76,9 +78,9 @@ class InvariantError(AssertionError):
     AssertionError, which the CLI maps to exit 3."""
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n,
-    or raises FactorBudgetError rather than take more than _RHO_BUDGET steps."""
+def _pollard_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """Brent-cycle Pollard rho: a nontrivial factor of composite odd n and the
+    steps left of `budget`, or FactorBudgetError rather than take more."""
     steps = 0
     while True:
         y = rng.randrange(1, n)
@@ -88,8 +90,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         x = ys = y
         while g == 1:
             steps += 2 * r  # this round's steps, at most
-            if steps > _RHO_BUDGET:
-                raise FactorBudgetError(f"no factor of the composite {n} within {_RHO_BUDGET} steps")
+            if steps > budget:
+                raise FactorBudgetError(f"no factor of the composite {n} within the "
+                                        f"{_RHO_BUDGET} steps allowed per integer")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -108,15 +111,16 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, budget - steps
 
 
 def factor_int(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer into (sign, {prime: exponent}).
 
     Trial division up to 10**6, then Pollard rho for what remains; the
-    contents met in practice only carry small primes.  A composite that
-    rho cannot split within _RHO_BUDGET steps raises FactorBudgetError.
+    contents met in practice only carry small primes.  Rho has _RHO_BUDGET
+    steps for all of n, and a composite it cannot split within what is
+    left raises FactorBudgetError.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -139,6 +143,7 @@ def factor_int(n: int) -> tuple[int, dict[int, int]]:
     if n > 1:
         stack = [n]
         rng = random.Random(0xE11)
+        budget = _RHO_BUDGET
         while stack:
             m = stack.pop()
             if m == 1:
@@ -150,7 +155,7 @@ def factor_int(n: int) -> tuple[int, dict[int, int]]:
             if root is not None:
                 stack.extend((root, root))
                 continue
-            g = _pollard_rho(m, rng)
+            g, budget = _pollard_rho(m, rng, budget)
             stack.extend((g, m // g))
     return sign, dict(sorted(factors.items()))
 

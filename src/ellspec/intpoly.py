@@ -12,6 +12,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
+from .intmath import InvariantError
+
 __all__ = [
     "IntPoly",
     "cubic_discriminant",
@@ -228,6 +230,17 @@ class IntPoly:
         return f"IntPoly({self})"
 
 
+def _exact_quotient(n: IntPoly, d: IntPoly) -> IntPoly:
+    """n / d where the caller knows that d divides n in Z[t].  A remainder
+    is then a fault of the program, not of its input, so it raises
+    InvariantError where the public exact_div raises ValueError."""
+    try:
+        return n.exact_div(d)
+    except ValueError:
+        raise InvariantError(f"a division in Z[t] known to be exact left a remainder "
+                             f"(degree {n.degree} by degree {d.degree})") from None
+
+
 def _trim(c: list, zero=0) -> list:
     """Drop the trailing zeros of a coefficient list in place, over any
     ring whose zero is `zero`; returns it."""
@@ -291,6 +304,10 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     result is exact.  After _HEU_GCD_ROUNDS failed evaluation points the
     primitive Euclidean algorithm takes over.
 
+    A linear primitive part m*t + k takes neither: by Gauss's lemma it
+    divides the other primitive part exactly when that vanishes at -k/m,
+    one homogeneous Horner evaluation.
+
     Result is canonical: positive leading coefficient, content equal to
     gcd of the contents.
     """
@@ -306,6 +323,13 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     c = math.gcd(ca, cb)
     if pa.is_constant or pb.is_constant:
         return IntPoly.const(c)
+    if pb.degree == 1:
+        pa, pb = pb, pa
+    if pa.degree == 1:
+        k, m = pa._c  # pa = m*t + k
+        if _horner_homogeneous(pb._c, -k, m):
+            return IntPoly.const(c)
+        return c * pa if m > 0 else -c * pa
     g = _heu_gcd(pa, pb)
     if g is None:
         g = _prs_gcd(pa, pb)
@@ -394,16 +418,16 @@ def squarefree_decompose(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]
     out: list[tuple[IntPoly, int]] = []
     df = f.derivative()
     g = poly_gcd(f, df)
-    b = f.exact_div(g)
-    c = df.exact_div(g)
+    b = _exact_quotient(f, g)
+    c = _exact_quotient(df, g)
     d = c - b.derivative()
     i = 1
     while b.degree > 0:
         a = poly_gcd(b, d)
         if a.degree > 0:
             out.append((a, i))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
+        b = _exact_quotient(b, a)
+        c = _exact_quotient(d, a)
         d = c - b.derivative()
         i += 1
     return unit, content, out

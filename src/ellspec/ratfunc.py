@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intpoly import IntPoly, _power, poly_gcd
+from .intpoly import IntPoly, _exact_quotient, _power, poly_gcd
 
 __all__ = ["RatFunc"]
 
@@ -35,8 +35,8 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if d != 1:
             g = poly_gcd(n, d)
-            n = n.exact_div(g)
-            d = d.exact_div(g)
+            n = _exact_quotient(n, g)
+            d = _exact_quotient(d, g)
             if d.lc < 0:
                 n, d = -n, -d
         self.num = n
@@ -185,11 +185,11 @@ def _sum(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
     d1 = poly_gcd(b, d)
     if d1 == 1:
         return RatFunc._reduced(a * d + c * b, b * d)
-    b = b.exact_div(d1)
-    t = a * d.exact_div(d1) + c * b
+    b = _exact_quotient(b, d1)
+    t = a * _exact_quotient(d, d1) + c * b
     e = poly_gcd(t, d1)
     if e != 1:
-        t, d = t.exact_div(e), d.exact_div(e)
+        t, d = _exact_quotient(t, e), _exact_quotient(d, e)
     return RatFunc._reduced(t, b * d)
 
 
@@ -202,9 +202,9 @@ def _prod(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
     if d != 1:
         g = poly_gcd(a, d)
         if g != 1:
-            a, d = a.exact_div(g), d.exact_div(g)
+            a, d = _exact_quotient(a, g), _exact_quotient(d, g)
     if b != 1:
         g = poly_gcd(c, b)
         if g != 1:
-            c, b = c.exact_div(g), b.exact_div(g)
+            c, b = _exact_quotient(c, g), _exact_quotient(b, g)
     return RatFunc._reduced(a * c, b * d)

@@ -441,7 +441,7 @@ def test_a_listed_pass_that_the_rank_test_denies_exits_3_under_python_O():
 _PATCHED_SITE = """
 import sys
 from fractions import Fraction
-from ellspec import cli, conditions, mestre
+from ellspec import cli, conditions, intpoly, mestre, ratfunc
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -468,8 +468,24 @@ sys.exit(cli.main({argv!r}))
             ["mestre", "--a", "2", "--b", "12"],
             "canonical point of the twist member (2, 12) is off its curve",
         ),
+        (
+            "intpoly.poly_gcd = lambda a, b: intpoly.IntPoly([1, 1])",  # Yun's gcd, t + 1 for all
+            ["factor", "t^2 + 3"],
+            "known to be exact left a remainder (degree 2 by degree 1)",
+        ),
+        (
+            "ratfunc.poly_gcd = lambda a, b: intpoly.IntPoly([1, 1])",  # the reducing gcd in Q(t)
+            ["check", "--condition", "A1B", "--curve", "y^2 = x^3 + x/t + 1", "--t0", "1"],
+            "known to be exact left a remainder",
+        ),
+        (
+            "intpoly.IntPoly.__pow__ = lambda self, e: intpoly.IntPoly([1])",  # d^k in the model
+            ["check", "--condition", "A1B", "--curve", "y^2 = x^3 + x/t + 1", "--t0", "1"],
+            "known to be exact left a remainder (degree 0 by degree 1)",
+        ),
     ],
-    ids=["find-t0 report", "twist degree", "canonical points"],
+    ids=["find-t0 report", "twist degree", "canonical points", "squarefree decomposition",
+         "reduced fraction", "integral model"],
 )
 def test_each_broken_invariant_exits_3_under_python_O(patch, argv, message):
     proc = subprocess.run(
@@ -536,6 +552,18 @@ def test_mestre_at_a_4000_digit_t0_ends_within_two_seconds():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(f"condition A1B at t0={_WIDE_T0}: PASS\n")
+
+
+def test_mestre_with_a_40_digit_content_exits_2_within_ten_seconds():
+    # a target's content has 1,069 digits; after its small primes, Pollard rho
+    # splits 26 cofactors and then runs out of the steps it has for the integer
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellspec", "mestre", "--a", "9" * 40, "--b", "7" * 40, "--t0", "3"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: no factor of the composite ")
+    assert proc.stderr.endswith(" within the 524288 steps allowed per integer\n")
 
 
 def test_a_certificate_t0_over_the_int_limit_exits_2_naming_t0(tmp_path, capsys):

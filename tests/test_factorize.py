@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ellspec import factorize
+from ellspec.conditions import certificate_to_json, check_condition, replay_certificate
 from ellspec.factorize import _gf_mul, _gf_pow_mod, _gf_rem, factor, rational_roots
 from ellspec.intpoly import IntPoly
 from ellspec.mestre import twist_polynomial
-from ellspec.parsing import parse_poly
+from ellspec.parsing import parse_curve, parse_poly
 
 T = IntPoly.monomial(1, 1)
 
@@ -106,6 +108,8 @@ def test_factor_round_trip_bulk():
 def test_factorization_is_deterministic():
     p = (T**2 + T + 1) * (T**3 - 2) * (2 * T - 5) * 30
     assert factor(p) == factor(p)
+    # the second call above is a memo hit; these two both factor
+    assert factor.__wrapped__(p) == factor.__wrapped__(p)
 
 
 def test_gf_pow_mod_agrees_with_repeated_multiplication():
@@ -147,3 +151,45 @@ def test_only_the_chosen_prime_is_split(monkeypatch, poly, primes):
     monkeypatch.setattr(factorize, "_gf_equal_degree", recording)
     assert factor(poly).recompose() == poly
     assert seen == primes
+
+
+# -- the per-process memo ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "condition, text, t0",
+    [
+        ("A", "e=(0, t, 7*t+1)", Fraction(1, 21)),
+        ("scriptA", "y^2 = x^3 + t^2*x^2 - x", Fraction(2)),
+        ("A1B", "y^2 = x^3 + (t^2 + 1)*x + t", Fraction(3, 2)),
+    ],
+)
+def test_an_in_process_replay_factors_nothing_again(monkeypatch, condition, text, t0):
+    report = check_condition(parse_curve(text), condition, t0)
+    calls = []
+    for name in ("_zassenhaus", "squarefree_decompose"):
+        original = getattr(factorize, name)
+        monkeypatch.setattr(factorize, name, lambda p, _f=original, _n=name: calls.append(_n) or _f(p))
+    matches, _ = replay_certificate(certificate_to_json(report))
+    assert matches
+    assert calls == []
+    # the counters see a check that factors: the one after an emptied memo
+    factorize.factor.cache_clear()
+    check_condition(parse_curve(text), condition, t0)
+    assert {"_zassenhaus", "squarefree_decompose"} <= set(calls)
+
+
+def test_an_equal_input_gets_the_memoized_factorization():
+    p = 6 * (T**2 + 1) * (T - 3) ** 2
+    fac = factor(p)
+    assert factor(IntPoly(p.coeffs)) is fac
+    assert factor.cache_info().maxsize == 1024
+
+
+def test_an_int_is_refused_after_the_equal_constant_polynomial():
+    assert factor(IntPoly.const(5)).content_primes == ((5, 1),)
+    with pytest.raises(AttributeError):
+        factor(5)  # IntPoly(5) == 5 and hashes as 5, but the memo is typed
+    assert factor(IntPoly.const(1)).content_primes == ()
+    with pytest.raises(AttributeError):
+        factor(True)  # an untyped memo would return IntPoly(1)'s entry

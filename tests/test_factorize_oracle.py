@@ -63,6 +63,8 @@ def _build(content: int, factors) -> IntPoly:
 
 def _checked_factor(p: IntPoly):
     fac = factor(p)
+    assert factor(p) is fac  # a memo hit, equal to factoring afresh
+    assert factor.__wrapped__(p) == fac
     unit, primes, polys = sympy_factor(p)
     assert fac.unit == unit
     assert dict(fac.content_primes) == primes
@@ -150,6 +152,14 @@ def test_recombination_raises_past_its_budget(monkeypatch):
     monkeypatch.setattr(factorize, "_RECOMBINATION_BUDGET", 100)
     with pytest.raises(FactorBudgetError, match="8 modular factors .* budget of 100 subsets"):
         factor(swinnerton_dyer(4))  # 8 modular factors, 162 subsets
+
+
+def test_a_budget_error_is_not_memoized():
+    sd64 = swinnerton_dyer(6)
+    for _ in range(2):
+        with pytest.raises(FactorBudgetError, match="32 modular factors"):
+            factor(sd64)
+    assert factor.cache_info().currsize == 0
 
 
 def test_cli_factor_of_sd64_exits_2_on_the_budget():

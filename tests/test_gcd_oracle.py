@@ -39,10 +39,46 @@ scale = st.sampled_from([1, -1, 2, -6, 3 * 2**70])
 @example(IntPoly([5]), IntPoly([1, 2]), IntPoly([3]), 1, -1)  # constant g*b
 @example(IntPoly([3 * 2**199]), IntPoly([-(2**64)]), IntPoly([5]), 1, -6)  # both constant
 @example(IntPoly([1, 0, 1]), IntPoly([0, -1]), IntPoly([2]), -4, 6)  # negative leading
+# the two cases above with no linear input, so that GCDHEU, not the linear
+# shortcut, meets them: xi = 31 is a root of the first input, and then
+# gcd(31^2 + 31, 32 * 962) = 32 rebuilds t + 1, which divides only the second
+@example(IntPoly([1, 0, 1]), IntPoly([-31, 1]), IntPoly([1]), 1, 1)
+@example(IntPoly([1]), IntPoly([31, 0, 1]), IntPoly([1, 1, 1, 1]), 1, 1)
 def test_gcd_matches_sympy(g, a, b, sa, sb):
     f = sa * g * a
     h = sb * g * b
     assert poly_gcd(f, h) == sympy_gcd(f, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-60, 60).filter(bool), st.integers(-60, 60), polys(20, 64), st.booleans(), scale,
+       st.booleans())
+@example(6, 4, IntPoly([2, 3]), False, 1, False)  # 6t + 4 and 3t + 2: content 2
+@example(-1, 5, IntPoly([0, 0, 1]), True, -6, True)  # t^2 (5 - t) and 6(t - 5)
+@example(3, 0, IntPoly([1, 0, 1]), False, 1, False)  # 3t: a root at 0 only
+def test_gcd_with_a_linear_argument_matches_sympy(a, b, q, root, s, swap):
+    """a*t + b against a random q, or against (a*t + b) q when root: the
+    linear shortcut meets roots and non-roots, of either argument."""
+    linear = IntPoly([b, a])
+    f, h = s * linear, linear * q if root else q
+    if swap:
+        f, h = h, f
+    assert poly_gcd(f, h) == sympy_gcd(f, h)
+
+
+def test_a_linear_argument_takes_no_trial_division(monkeypatch):
+    T = IntPoly.monomial(1, 1)
+    b = IntPoly.const(1)
+    for k in range(1, 51):
+        b *= T + k
+    calls = []
+    divmod_exact = IntPoly.divmod_exact
+    monkeypatch.setattr(IntPoly, "divmod_exact", lambda self, d: calls.append(d) or divmod_exact(self, d))
+    assert poly_gcd(b, T + 7) == T + 7
+    assert poly_gcd(-2 * T - 14, 3 * b) == T + 7
+    assert poly_gcd(b, T + 51) == 1
+    assert poly_gcd(2 * T + 1, b) == 1
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)

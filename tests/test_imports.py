@@ -18,7 +18,8 @@ test.  In parsing, only _tokenize reads the raw text: no other function
 slices it with string methods or re.  The package has one schoolbook
 product loop, intpoly._mul_coeffs, one trailing-zero loop,
 intpoly._trim, one square-and-multiply loop, intpoly._power, and one
-Horner loop, intpoly._horner_homogeneous.
+Horner loop, intpoly._horner_homogeneous.  It holds one memo, the
+lru_cache on factorize.factor.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead code.  An imported name
@@ -840,3 +841,66 @@ def test_the_exactness_scan_flags_each_kind_and_spares_exact_code():
         "11: math.floor",
         "11: math.pi",
     ]
+
+
+MEMO_NAMES = {"lru_cache", "cache"}
+
+
+def _memos(program: dict[str, ast.Module]) -> list[str]:
+    """Every read of functools.lru_cache or functools.cache: module.function
+    where it decorates a function (a method counts as Class.method), and
+    module:line anywhere else, such as a memo wrapped around a function by a
+    call or an import of either name under an alias."""
+    found = []
+    for module, tree in program.items():
+        decorating = {}
+        for qualname, fn in _functions(tree):
+            for decorator in fn.decorator_list:
+                decorating.update((id(n), qualname) for n in ast.walk(decorator))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{module}:{node.lineno}" for alias in node.names
+                          if alias.name in MEMO_NAMES and alias.asname not in (None, alias.name)]
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in MEMO_NAMES and isinstance(node.ctx, ast.Load):
+                found.append(f"{module}.{decorating[id(node)]}" if id(node) in decorating
+                             else f"{module}:{node.lineno}")
+    return found
+
+
+def test_the_only_memo_is_the_one_on_factor():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _memos(program) == ["factorize.factor"]
+
+
+def test_the_memo_scan_flags_every_memo_but_spares_cached_property():
+    program = {
+        "factorize": ast.parse(
+            "import functools\n"
+            "@functools.lru_cache(maxsize=1024, typed=True)\n"
+            "def factor(p):\n"
+            "    return p\n"
+        ),
+        "curves": ast.parse(
+            "from functools import cache, cached_property\n"
+            "class Curve:\n"
+            "    @cache\n"
+            "    def two_torsion(self):\n"
+            "        return []\n"
+            "    @cached_property\n"
+            "    def model(self):\n"
+            "        return ()\n"
+        ),
+        "parsing": ast.parse(
+            "import functools\n"
+            "parse = functools.lru_cache(maxsize=None)(_parse)\n"
+        ),
+        "mestre": ast.parse(
+            "from functools import lru_cache as memo\n"
+            "@memo\n"
+            "def build(a, b):\n"
+            "    return a\n"
+        ),
+    }
+    assert _memos(program) == ["factorize.factor", "curves.Curve.two_torsion", "parsing:2", "mestre:1"]

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ellspec import intmath
 from ellspec.intmath import (
+    FactorBudgetError,
     as_rational,
     exact_isqrt,
     factor_int,
@@ -49,6 +51,27 @@ def test_factor_int_large_semiprime():
     p, q = 1000003, 1000033
     sign, fac = factor_int(p * q)
     assert fac == {p: 1, q: 1}
+
+
+def test_one_rho_budget_serves_every_cofactor_of_a_call(monkeypatch):
+    primes = [1000003, 1000033, 1000037, 1000039]  # past trial division
+    spent = []
+    rho = intmath._pollard_rho
+
+    def recording(m, rng, budget):
+        g, left = rho(m, rng, budget)
+        spent.append((budget, budget - left))
+        return g, left
+
+    monkeypatch.setattr(intmath, "_pollard_rho", recording)
+    assert factor_int(math.prod(primes)) == (1, dict.fromkeys(primes, 1))
+    assert [b for b, _ in spent] == [intmath._RHO_BUDGET - sum(s for _, s in spent[:i]) for i in range(3)]
+    # a budget that each split fits into, but not the three together
+    total = sum(s for _, s in spent)
+    assert max(s for _, s in spent) < total - 1
+    monkeypatch.setattr(intmath, "_RHO_BUDGET", total - 1)
+    with pytest.raises(FactorBudgetError, match=f"within the {total - 1} steps allowed per integer"):
+        factor_int(math.prod(primes))
 
 
 @given(st.integers(min_value=0, max_value=10**18))
