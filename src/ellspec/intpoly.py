@@ -34,6 +34,13 @@ class IntPoly:
                 raise TypeError(f"integer coefficients required, got {x!r}")
         self._c = tuple(c)
 
+    @classmethod
+    def _trusted(cls, c: tuple[int, ...]) -> "IntPoly":
+        """The IntPoly on c, an int tuple with no trailing zero, unchecked."""
+        p = object.__new__(cls)
+        p._c = c
+        return p
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -100,12 +107,12 @@ class IntPoly:
     def __add__(self, other) -> "IntPoly":
         if not isinstance(other, (IntPoly, int)):
             return NotImplemented  # let richer rings (Q(t)) handle it
-        return IntPoly(_add_coeffs(self._c, IntPoly.coerce(other)._c))
+        return IntPoly._trusted(tuple(_add_coeffs(self._c, IntPoly.coerce(other)._c)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-x for x in self._c)
+        return IntPoly._trusted(tuple(-x for x in self._c))
 
     def __sub__(self, other) -> "IntPoly":
         if not isinstance(other, (IntPoly, int)):
@@ -120,7 +127,9 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if not isinstance(other, (IntPoly, int)):
             return NotImplemented
-        return IntPoly(_mul_coeffs(self._c, other._c if isinstance(other, IntPoly) else (other,)))
+        g = other._c if isinstance(other, IntPoly) else (other,) if other else ()
+        # over Z a product of two nonzero leading coefficients is nonzero
+        return IntPoly._trusted(tuple(_mul_coeffs(self._c, g)) if self._c and g else ())
 
     __rmul__ = __mul__
 
@@ -130,7 +139,7 @@ class IntPoly:
         return _power(self, e, IntPoly.const(1))
 
     def derivative(self) -> "IntPoly":
-        return IntPoly(i * self._c[i] for i in range(1, len(self._c)))
+        return IntPoly._trusted(tuple(i * self._c[i] for i in range(1, len(self._c))))
 
     # -- evaluation ---------------------------------------------------
 
@@ -146,10 +155,7 @@ class IntPoly:
         """Positive gcd of the coefficients; rejects the zero polynomial."""
         if self.is_zero:
             raise ValueError("zero polynomial has no content")
-        g = 0
-        for c in self._c:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self._c)
 
     def primitive_part(self) -> "IntPoly":
         """self / content; the sign stays on the primitive part."""
@@ -157,7 +163,7 @@ class IntPoly:
 
     def content_and_primitive(self) -> tuple[int, "IntPoly"]:
         c = self.content()
-        return c, IntPoly(x // c for x in self._c)
+        return c, self if c == 1 else IntPoly._trusted(tuple(x // c for x in self._c))
 
     # -- division -------------------------------------------------------
 
@@ -185,7 +191,8 @@ class IntPoly:
             q[deg_r - dd] = coef
             for i, dc in enumerate(d._c):
                 r[deg_r - dd + i] -= coef * dc
-        return IntPoly(q), IntPoly(r)
+        # the top of q is lc(self) / lc(d), and r was trimmed by the loop
+        return IntPoly._trusted(tuple(q)), IntPoly._trusted(tuple(r))
 
     def exact_div(self, d: "IntPoly") -> "IntPoly":
         """Exact division in Z[t]; raises if d does not divide self."""
@@ -193,13 +200,6 @@ class IntPoly:
         if qr is None or not qr[1].is_zero:
             raise ValueError(f"{d} does not divide {self} in Z[t]")
         return qr[0]
-
-    def divides(self, other: "IntPoly") -> bool:
-        """True when self | other in Z[t]."""
-        if self.is_zero:
-            return other.is_zero
-        qr = other.divmod_exact(self)
-        return qr is not None and qr[1].is_zero
 
     # -- printing ---------------------------------------------------------
 
@@ -228,6 +228,9 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self})"
+
+
+_ONE = IntPoly._trusted((1,))
 
 
 def _exact_quotient(n: IntPoly, d: IntPoly) -> IntPoly:
@@ -302,51 +305,63 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     exactly; since xi >= 2*min(|a|_inf, |b|_inf) + 2 throughout, such a
     candidate is the gcd (Geddes, Czapor and Labahn, Thm 7.7), so the
     result is exact.  After _HEU_GCD_ROUNDS failed evaluation points the
-    primitive Euclidean algorithm takes over.
-
-    A linear primitive part m*t + k takes neither: by Gauss's lemma it
-    divides the other primitive part exactly when that vanishes at -k/m,
-    one homogeneous Horner evaluation.
+    primitive Euclidean algorithm takes over.  A linear primitive part
+    m*t + k takes neither: by Gauss's lemma it divides the other primitive
+    part exactly when that vanishes at -k/m, one Horner evaluation.
 
     Result is canonical: positive leading coefficient, content equal to
-    gcd of the contents.
+    gcd of the contents.  A caller that divides by the gcd takes
+    _gcd_cofactors instead, which returns the quotients too.
     """
-    if a.is_zero and b.is_zero:
-        return IntPoly()
-    if a.is_zero:
-        g = b
-        return g if g.lc > 0 else -g
-    if b.is_zero:
-        return a if a.lc > 0 else -a
+    return _gcd_cofactors(a, b, cofactors=False)[0]
+
+
+def _gcd_cofactors(a: IntPoly, b: IntPoly, cofactors=True) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """g = poly_gcd(a, b) with a/g and b/g (0 and 0 for a = b = 0), taken
+    from what the gcd computes anyway: the quotients of GCDHEU's trial
+    divisions, the primitive parts when those are coprime, or else one
+    known-exact division; each times its content over c, unless that is 1.
+    With cofactors False, those that would cost more are None."""
+    if a.is_zero or b.is_zero:
+        g = b if a.is_zero else a
+        unit = IntPoly.const(-1 if g.lc < 0 else 1) if g else g
+        return (-g if g.lc < 0 else g), (unit if b.is_zero else a), (unit if a.is_zero else b)
+    if b.degree == 1 and a.degree != 1:  # the linear shortcut reads a
+        g, qb, qa = _gcd_cofactors(b, a, cofactors)
+        return g, qa, qb
     ca, pa = a.content_and_primitive()
     cb, pb = b.content_and_primitive()
     c = math.gcd(ca, cb)
-    if pa.is_constant or pb.is_constant:
-        return IntPoly.const(c)
-    if pb.degree == 1:
-        pa, pb = pb, pa
-    if pa.degree == 1:
+    h, qa, qb = _ONE, pa, pb  # gcd(pa, pb), pa/h and pb/h
+    if pa.degree == 1 and not pb.is_constant:
         k, m = pa._c  # pa = m*t + k
-        if _horner_homogeneous(pb._c, -k, m):
-            return IntPoly.const(c)
-        return c * pa if m > 0 else -c * pa
-    g = _heu_gcd(pa, pb)
-    if g is None:
-        g = _prs_gcd(pa, pb)
-    return c * g
+        if not _horner_homogeneous(pb._c, -k, m):
+            h, qa = (pa, _ONE) if m > 0 else (-pa, -_ONE)
+            qb = _exact_quotient(pb, h) if cofactors else None
+    elif not (pa.is_constant or pb.is_constant):
+        heu = _heu_gcd(pa, pb)
+        if heu is None:
+            h = _prs_gcd(pa, pb)
+            heu = (h, _exact_quotient(pa, h), _exact_quotient(pb, h)) if cofactors else (h, None, None)
+        h, qa, qb = heu
+    if h == 1 and c == 1:
+        return h, a, b
+    g, ka, kb = (h if c == 1 else c * h), ca // c, cb // c  # no product by 1
+    if not cofactors:
+        return g, None, None
+    return g, (qa if ka == 1 else ka * qa), (qb if kb == 1 else kb * qb)
 
 
 _HEU_GCD_ROUNDS = 6
 
 
-def _heu_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly | None:
-    """Gcd, with lc > 0, of nonconstant primitive pa and pb; None when no
-    evaluation point in _HEU_GCD_ROUNDS rounds gave a verified candidate."""
-    norm_a = max(map(abs, pa._c))
-    norm_b = max(map(abs, pb._c))
+def _heu_gcd(pa: IntPoly, pb: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly] | None:
+    """(h, pa/h, pb/h) for the gcd h, with lc > 0, of nonconstant primitive
+    pa and pb, the quotients from the trial divisions that verify h; None
+    when no evaluation point in _HEU_GCD_ROUNDS rounds gave a verified h."""
     # Never start below 2*min norm + 2: that bound is what makes a
     # candidate dividing both inputs the gcd, not merely a common divisor.
-    xi = 2 * min(norm_a, norm_b) + 29
+    xi = 2 * min(max(map(abs, pa._c)), max(map(abs, pb._c))) + 29
     for _ in range(_HEU_GCD_ROUNDS):
         va = _horner_homogeneous(pa._c, xi, 1)
         vb = _horner_homogeneous(pb._c, xi, 1)
@@ -354,8 +369,12 @@ def _heu_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly | None:
             h = _from_balanced_digits(math.gcd(va, vb), xi).primitive_part()
             if h.lc < 0:
                 h = -h
-            if h.is_constant or (h.divides(pa) and h.divides(pb)):
-                return h
+            if h.is_constant:
+                return h, pa, pb
+            qa = pa.divmod_exact(h)
+            qb = qa and not qa[1] and pb.divmod_exact(h)  # pb only when h | pa
+            if qb and not qb[1]:
+                return h, qa[0], qb[0]
         # sympy's growth schedule (dup_zz_heu_gcd): about xi**1.25
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -374,15 +393,12 @@ def _from_balanced_digits(n: int, base: int) -> IntPoly:
     """The polynomial whose coefficients are the balanced base-`base`
     digits of n (each in (-base/2, base/2]), so that its value at `base`
     is n."""
-    half = base // 2
+    shift = base - 1 - base // 2  # a digit is a remainder less the shift
     digits = []
     while n:
-        d = n % base
-        if d > half:
-            d -= base
-        digits.append(d)
-        n = (n - d) // base
-    return IntPoly(digits)
+        n, d = divmod(n + shift, base)
+        digits.append(d - shift)
+    return IntPoly._trusted(tuple(digits))  # the top digit is n's last, nonzero
 
 
 def _prs_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly:
@@ -393,41 +409,30 @@ def _prs_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly:
         pa, pb = pb, pa
     while not pb.is_zero:
         _, r = pa.pseudo_divmod(pb)
-        pa = pb
-        pb = r.primitive_part() if not r.is_zero else IntPoly()
-    if pa.lc < 0:
-        pa = -pa
-    return pa
+        pa, pb = pb, r.primitive_part() if r else r
+    return pa if pa.lc > 0 else -pa
 
 
 def squarefree_decompose(p: IntPoly) -> tuple[int, int, list[tuple[IntPoly, int]]]:
     """Yun decomposition: p = unit * content * prod d_i^(m_i).
 
     The d_i are primitive, squarefree, pairwise coprime, with positive
-    leading coefficients; multiplicities are strictly increasing.
+    leading coefficients; multiplicities are strictly increasing.  Step i
+    takes a = gcd(b, d) with its cofactors b/a and d/a, the next b and c,
+    so nothing is divided again; step 0, on f and f', yields no d_i.  On
+    a squarefree f the gcd is 1 and its cofactors are f and f' themselves.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     content, f = p.content_and_primitive()
-    unit = 1
-    if f.lc < 0:
-        unit = -1
-        f = -f
-    if f.degree <= 0:
-        return unit, content, []
+    unit = -1 if f.lc < 0 else 1
+    b = -f if unit < 0 else f
+    d, i = b.derivative(), 0
     out: list[tuple[IntPoly, int]] = []
-    df = f.derivative()
-    g = poly_gcd(f, df)
-    b = _exact_quotient(f, g)
-    c = _exact_quotient(df, g)
-    d = c - b.derivative()
-    i = 1
     while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
+        a, b, c = _gcd_cofactors(b, d)
+        if i and a.degree > 0:
             out.append((a, i))
-        b = _exact_quotient(b, a)
-        c = _exact_quotient(d, a)
         d = c - b.derivative()
         i += 1
     return unit, content, out

@@ -6,19 +6,17 @@ positive leading coefficient.  This makes equality a structural check.
 A fraction n/1 already has this form, so Z[t] enters Q(t) with no gcd.
 Sums and products of canonical fractions follow Henrici (Knuth, TAOCP 2,
 4.5.1): they cancel the gcds of the small parts before multiplying and
-are already canonical, so they skip the full gcd that the constructor
-takes.
+are already canonical, so they skip the constructor's full gcd.  Each gcd
+comes with its cofactors (intpoly._gcd_cofactors): no part is divided.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .intpoly import IntPoly, _exact_quotient, _power, poly_gcd
+from .intpoly import _ONE, IntPoly, _gcd_cofactors, _power, poly_gcd
 
-__all__ = ["RatFunc"]
-
-_ONE = IntPoly.const(1)
+__all__ = ["RatFunc", "poly_gcd"]  # poly_gcd is not called here; bench/tests reads it
 
 
 class RatFunc:
@@ -34,9 +32,7 @@ class RatFunc:
         if d.is_zero:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if d != 1:
-            g = poly_gcd(n, d)
-            n = _exact_quotient(n, g)
-            d = _exact_quotient(d, g)
+            _, n, d = _gcd_cofactors(n, d)
             if d.lc < 0:
                 n, d = -n, -d
         self.num = n
@@ -177,19 +173,18 @@ class RatFunc:
 def _sum(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
     """a/b + c/d for canonical a/b and c/d.  With d1 = gcd(b, d), the sum
     is t / ((b/d1) d) for t = a (d/d1) + c (b/d1), and t shares with that
-    denominator only the factors it shares with d1 (Henrici)."""
+    denominator only the factors it shares with d1 (Henrici).  With
+    e = gcd(t, d1), d/e is (d1/e)(d/d1), a product of two cofactors."""
     if b == 1:
         return RatFunc._reduced(a * d + c, d)
     if d == 1:
         return RatFunc._reduced(a + c * b, b)
-    d1 = poly_gcd(b, d)
-    if d1 == 1:
-        return RatFunc._reduced(a * d + c * b, b * d)
-    b = _exact_quotient(b, d1)
-    t = a * _exact_quotient(d, d1) + c * b
-    e = poly_gcd(t, d1)
-    if e != 1:
-        t, d = _exact_quotient(t, e), _exact_quotient(d, e)
+    d1, b, dd = _gcd_cofactors(b, d)
+    t = a * dd + c * b
+    if d1 != 1:
+        e, t, d1 = _gcd_cofactors(t, d1)
+        if e != 1:
+            d = d1 * dd
     return RatFunc._reduced(t, b * d)
 
 
@@ -200,11 +195,7 @@ def _prod(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
     if a is c and b is d:
         return RatFunc._reduced(a * a, b * b)
     if d != 1:
-        g = poly_gcd(a, d)
-        if g != 1:
-            a, d = _exact_quotient(a, g), _exact_quotient(d, g)
+        _, a, d = _gcd_cofactors(a, d)
     if b != 1:
-        g = poly_gcd(c, b)
-        if g != 1:
-            c, b = _exact_quotient(c, g), _exact_quotient(b, g)
+        _, c, b = _gcd_cofactors(c, b)
     return RatFunc._reduced(a * c, b * d)

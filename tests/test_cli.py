@@ -450,6 +450,11 @@ sys.exit(cli.main({argv!r}))
 """
 
 
+# Every gcd goes to the PRS fallback, which answers t + 1: the cofactors'
+# known-exact division is then left with a remainder.
+_WRONG_PRS_GCD = "intpoly._HEU_GCD_ROUNDS = 0; intpoly._prs_gcd = lambda a, b: intpoly.IntPoly([1, 1])"
+
+
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
@@ -469,14 +474,14 @@ sys.exit(cli.main({argv!r}))
             "canonical point of the twist member (2, 12) is off its curve",
         ),
         (
-            "intpoly.poly_gcd = lambda a, b: intpoly.IntPoly([1, 1])",  # Yun's gcd, t + 1 for all
-            ["factor", "t^2 + 3"],
-            "known to be exact left a remainder (degree 2 by degree 1)",
+            _WRONG_PRS_GCD,  # Yun's gcd of t^3 + 3 and 3t^2
+            ["factor", "t^3 + 3"],
+            "known to be exact left a remainder (degree 3 by degree 1)",
         ),
         (
-            "ratfunc.poly_gcd = lambda a, b: intpoly.IntPoly([1, 1])",  # the reducing gcd in Q(t)
+            _WRONG_PRS_GCD,  # the gcd that reduces disc / d^6 in Q(t)
             ["check", "--condition", "A1B", "--curve", "y^2 = x^3 + x/t + 1", "--t0", "1"],
-            "known to be exact left a remainder",
+            "known to be exact left a remainder (degree 6 by degree 1)",
         ),
         (
             "intpoly.IntPoly.__pow__ = lambda self, e: intpoly.IntPoly([1])",  # d^k in the model
@@ -556,9 +561,29 @@ def test_mestre_at_a_4000_digit_t0_ends_within_two_seconds():
 
 def test_mestre_with_a_40_digit_content_exits_2_within_ten_seconds():
     # a target's content has 1,069 digits; after its small primes, Pollard rho
-    # splits 26 cofactors and then runs out of the steps it has for the integer
+    # splits 23 cofactors and then runs out of the steps it has for the integer
     proc = subprocess.run(
         [sys.executable, "-m", "ellspec", "mestre", "--a", "9" * 40, "--b", "7" * 40, "--t0", "3"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: no factor of the composite ")
+    assert proc.stderr.endswith(" within the 524288 steps allowed per integer\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--a", "9" * 100, "--b", "7" * 100, "--t0", "3"),
+        ("--a", str(10**300), "--b", "1", "--t0", "3", "--specialized-rank", "2"),
+    ],
+    ids=["100-digit a and b", "a = 10^300"],
+)
+def test_mestre_with_a_content_of_thousands_of_digits_exits_2_within_ten_seconds(args):
+    # rho's last cofactor has 1,663 and 898 digits, and a step on it weighs
+    # the square of its length in bits over 500^2
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellspec", "mestre", *args],
         env=_env_with_src(), capture_output=True, text=True, timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (2, "")

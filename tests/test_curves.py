@@ -237,8 +237,8 @@ def test_two_torsion_over_z_t_takes_no_gcd(monkeypatch):
     """With model denominator 1, the roots and the zero enter Q(t) as n/1."""
     curve = Curve(0, -(T * T), 0)  # x (x - t)(x + t)
     calls = []
-    gcd = ratfunc.poly_gcd
-    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    gcd = ratfunc._gcd_cofactors
+    monkeypatch.setattr(ratfunc, "_gcd_cofactors", lambda a, b: calls.append((a, b)) or gcd(a, b))
     points = curve.two_torsion()
     assert {P.x for P in points[1:]} == {RatFunc(0), t, -t}
     assert {P.y for P in points[1:]} == {RatFunc(0)}

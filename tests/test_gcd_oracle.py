@@ -1,4 +1,5 @@
-"""poly_gcd against sympy's gcd in Z[t], used here only as an oracle."""
+"""poly_gcd and its cofactors against sympy's gcd in Z[t], used here only
+as an oracle."""
 
 from unittest.mock import patch
 
@@ -17,6 +18,15 @@ def sympy_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     pa = sympy.Poly(list(reversed(a.coeffs)) or [0], _t, domain="ZZ")
     pb = sympy.Poly(list(reversed(b.coeffs)) or [0], _t, domain="ZZ")
     return IntPoly(int(c) for c in reversed(pa.gcd(pb).all_coeffs()))
+
+
+def assert_gcd_and_cofactors(f: IntPoly, h: IntPoly) -> None:
+    """poly_gcd(f, h) is sympy's gcd, and so is the g of _gcd_cofactors,
+    whose cofactors times g give f and h back."""
+    assert poly_gcd(f, h) == sympy_gcd(f, h)
+    g, qf, qh = intpoly._gcd_cofactors(f, h)
+    assert g == sympy_gcd(f, h)
+    assert (g * qf, g * qh) == (f, h)
 
 
 def polys(max_degree: int, max_bits: int):
@@ -47,7 +57,7 @@ scale = st.sampled_from([1, -1, 2, -6, 3 * 2**70])
 def test_gcd_matches_sympy(g, a, b, sa, sb):
     f = sa * g * a
     h = sb * g * b
-    assert poly_gcd(f, h) == sympy_gcd(f, h)
+    assert_gcd_and_cofactors(f, h)
 
 
 @settings(max_examples=150, deadline=None)
@@ -63,7 +73,7 @@ def test_gcd_with_a_linear_argument_matches_sympy(a, b, q, root, s, swap):
     f, h = s * linear, linear * q if root else q
     if swap:
         f, h = h, f
-    assert poly_gcd(f, h) == sympy_gcd(f, h)
+    assert_gcd_and_cofactors(f, h)
 
 
 def test_a_linear_argument_takes_no_trial_division(monkeypatch):
@@ -87,7 +97,7 @@ def test_prs_gcd_matches_sympy(g, a, b, sa, sb):
     f = sa * g * a
     h = sb * g * b
     with patch.object(intpoly, "_HEU_GCD_ROUNDS", 0):
-        assert poly_gcd(f, h) == sympy_gcd(f, h)
+        assert_gcd_and_cofactors(f, h)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +111,7 @@ def test_prs_gcd_matches_sympy(g, a, b, sa, sb):
     ],
 )
 def test_content_and_zero_cases_match_sympy(f, h):
-    assert poly_gcd(f, h) == sympy_gcd(f, h)
+    assert_gcd_and_cofactors(f, h)
 
 
 def test_prs_fallback_gives_identical_result(monkeypatch):
@@ -117,3 +127,20 @@ def test_prs_fallback_gives_identical_result(monkeypatch):
     monkeypatch.setattr(intpoly, "_prs_gcd", lambda a, b: prs_calls.append(1) or prs(a, b))
     assert poly_gcd(f, h) == heuristic == sympy_gcd(f, h)
     assert prs_calls == [1]
+
+
+def test_cofactors_over_a_content_ratio_of_one_take_no_product(monkeypatch):
+    """Primitive inputs with a common factor: GCDHEU's quotients are the
+    cofactors as they are, and g is h itself, with no product by 1."""
+    T = IntPoly.monomial(1, 1)
+    g, qf, qh = T**2 + 3 * T - 5, T**3 - 2, 2 * T**2 + 7
+    f, h = g * qf, g * qh
+    linear, coprime = 3 * T + 1, 5 * T**2 + 2
+    calls = []
+    mul = IntPoly.__mul__
+    counted = lambda self, other: calls.append(other) or mul(self, other)
+    monkeypatch.setattr(IntPoly, "__mul__", counted)
+    monkeypatch.setattr(IntPoly, "__rmul__", counted)
+    assert intpoly._gcd_cofactors(f, h) == (g, qf, qh)
+    assert intpoly._gcd_cofactors(linear, coprime) == (1, linear, coprime)
+    assert calls == []

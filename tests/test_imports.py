@@ -368,12 +368,12 @@ def test_the_coercion_scan_flags_readers_outside_the_gates():
     assert _coercing_modules(program) == ["specialize", "golden"]
 
 
-def _trusted_readers(program: dict[str, ast.Module]) -> list[str]:
-    """Modules other than ratfunc that read the attribute _reduced."""
+def _trusted_readers(program: dict[str, ast.Module], constructor="_reduced", owner="ratfunc") -> list[str]:
+    """Modules other than owner that read the attribute constructor."""
     return [
         module
         for module, tree in program.items()
-        if module != "ratfunc" and "_reduced" in _attribute_loads(tree)
+        if module != owner and constructor in _attribute_loads(tree)
     ]
 
 
@@ -389,6 +389,21 @@ def test_the_trusted_constructor_scan_flags_readers_outside_ratfunc():
         "mestre": ast.parse("def _reduced(n, d):\n    return n\ny = _reduced(1, 2)\n"),
     }
     assert _trusted_readers(program) == ["curves"]
+
+
+def test_only_intpoly_builds_a_polynomial_without_a_check():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _trusted_readers(program, "_trusted", "intpoly") == []
+
+
+def test_the_unchecked_polynomial_scan_flags_readers_outside_intpoly():
+    program = {
+        "intpoly": ast.parse("def __neg__(self):\n    return IntPoly._trusted(tuple(-x for x in self._c))\n"),
+        "parsing": ast.parse("p = IntPoly._trusted((1, 2))\n"),
+        "ratfunc": ast.parse("def _trusted(c):\n    return c\ny = _trusted(1)\n"),
+        "curves": ast.parse("z = RatFunc._reduced(n, d)\n"),
+    }
+    assert _trusted_readers(program, "_trusted", "intpoly") == ["parsing"]
 
 
 ROOT_FINDERS = {"_int_cubic_roots", "_qt_cubic_roots", "_q_cubic_roots"}

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -72,6 +73,22 @@ def test_one_rho_budget_serves_every_cofactor_of_a_call(monkeypatch):
     monkeypatch.setattr(intmath, "_RHO_BUDGET", total - 1)
     with pytest.raises(FactorBudgetError, match=f"within the {total - 1} steps allowed per integer"):
         factor_int(math.prod(primes))
+
+
+def _rho_steps(n: int) -> int:
+    g, left = intmath._pollard_rho(n, random.Random(0xE11), intmath._RHO_BUDGET)
+    assert 1 < g < n and n % g == 0
+    return intmath._RHO_BUDGET - left
+
+
+@pytest.mark.parametrize("digits, weight", [(40, 1), (200, 1), (250, 2), (600, 15), (1200, 63)])
+def test_a_rho_step_weighs_the_square_of_the_bit_length_over_500_squared(monkeypatch, digits, weight):
+    # 1 up to 707 bits, about 212 digits
+    n = 1000003 * (10 ** (digits - 7) + 1)
+    assert len(str(n)) == digits
+    weighted = _rho_steps(n)
+    monkeypatch.setattr(intmath, "_RHO_WEIGHT_BITS", n.bit_length() + 1)  # every step weighs 1
+    assert weighted == weight * _rho_steps(n)
 
 
 @given(st.integers(min_value=0, max_value=10**18))

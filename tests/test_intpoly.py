@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ellspec import intpoly
 from ellspec.intpoly import (
     IntPoly,
     cubic_discriminant,
@@ -55,15 +56,22 @@ def test_content_and_primitive_part():
     assert (-p).primitive_part() == IntPoly([-1, 2, -3])
 
 
+def _divides(d: IntPoly, p: IntPoly) -> bool:
+    """d | p in Z[t], read off divmod_exact."""
+    qr = p.divmod_exact(d)
+    return qr is not None and qr[1].is_zero
+
+
 def test_exact_division():
     p = (T - 1) * (2 * T + 3)
     assert p.exact_div(T - 1) == 2 * T + 3
-    assert (T - 1).divides(p)
-    assert not (T + 1).divides(p)
+    assert p.divmod_exact(T - 1) == (2 * T + 3, IntPoly())
+    assert _divides(T - 1, p)
+    assert not _divides(T + 1, p)
     with pytest.raises(ValueError):
         p.exact_div(T + 1)
     # divisibility in Z[t], not Q[t]: 2t+2 does not divide t^2-1
-    assert not IntPoly([2, 2]).divides(T**2 - 1)
+    assert not _divides(IntPoly([2, 2]), T**2 - 1)
 
 
 @given(small_polys, nonzero_polys)
@@ -102,7 +110,7 @@ def test_pseudo_divmod_recomposes(a, d):
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both(p, q):
     g = poly_gcd(p, q)
-    assert g.divides(p) and g.divides(q)
+    assert _divides(g, p) and _divides(g, q)
     assert g.lc > 0
 
 
@@ -172,3 +180,19 @@ def test_str_round_trips_through_parser():
 
     for p in (T**3 - 2 * T + 5, -4 * T**2, IntPoly.const(-7), 42 * T**14 + T):
         assert parse_poly(str(p)) == p
+
+
+@pytest.mark.parametrize(
+    "p",
+    [T**5 - 3 * T**2 + 7 * T + 11, -6 * (T**2 + 1), 2 * T + 3, (T**2 + 1) * (T**3 - T + 1)],
+)
+def test_squarefree_decompose_of_a_squarefree_polynomial_divides_nothing(monkeypatch, p):
+    """Yun's first gcd is 1, so its cofactors are f and f' as they are, and
+    the gcd of b with d = 0 is b itself: no division at all."""
+    content, f = p.content_and_primitive()
+    unit = 1 if f.lc > 0 else -1
+    calls = []
+    divmod_exact = IntPoly.divmod_exact
+    monkeypatch.setattr(IntPoly, "divmod_exact", lambda self, d: calls.append(d) or divmod_exact(self, d))
+    assert intpoly.squarefree_decompose(p) == (unit, content, [(unit * f, 1)])
+    assert calls == []

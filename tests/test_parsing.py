@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ellspec import parsing
 from ellspec.curves import Curve, O
-from ellspec.intpoly import IntPoly, poly_gcd
+from ellspec.intpoly import IntPoly, _gcd_cofactors
 from ellspec.parsing import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -111,7 +111,7 @@ def test_a_long_sum_takes_no_gcd_of_two_large_parts(monkeypatch):
     """Each 1/(t+k) is held in Q(t) and added by Henrici's rule, so the
     running sum never meets a gcd of its whole numerator and denominator."""
     calls = []
-    monkeypatch.setattr("ellspec.ratfunc.poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    monkeypatch.setattr("ellspec.ratfunc._gcd_cofactors", lambda a, b: calls.append((a, b)) or _gcd_cofactors(a, b))
     f = parse_ratfunc(_fraction_sum(50))
     assert f.den.degree == 50 and f.num.degree == 49
     assert calls and all(min(a.degree, b.degree) < 2 for a, b in calls)

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ellspec.intpoly import IntPoly, poly_gcd
+from ellspec.intpoly import IntPoly, _gcd_cofactors, poly_gcd
 from ellspec.ratfunc import RatFunc
 
 T = IntPoly.monomial(1, 1)
@@ -47,7 +48,7 @@ def test_a_running_sum_takes_no_gcd_of_two_large_parts(monkeypatch):
     """1/(t+1) + ... + 1/(t+50): Henrici's sums take gcds of a denominator
     with a linear one, never of the two growing parts."""
     calls = []
-    monkeypatch.setattr("ellspec.ratfunc.poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    monkeypatch.setattr("ellspec.ratfunc._gcd_cofactors", lambda a, b: calls.append((a, b)) or _gcd_cofactors(a, b))
     total = RatFunc(0)
     for i in range(1, 51):
         total = total + 1 / (t + i)
@@ -109,7 +110,7 @@ def test_constants():
 
 def test_a_fraction_over_one_takes_no_gcd(monkeypatch):
     calls = []
-    monkeypatch.setattr("ellspec.ratfunc.poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    monkeypatch.setattr("ellspec.ratfunc._gcd_cofactors", lambda a, b: calls.append((a, b)) or _gcd_cofactors(a, b))
     p = 3 * T**2 - 6 * T + 9
     for f in (RatFunc(p), RatFunc(p, 1), RatFunc._coerce(p)):
         assert (f.num, f.den) == (p, IntPoly.const(1))
@@ -129,3 +130,29 @@ def test_a_fraction_over_one_takes_no_gcd(monkeypatch):
 def test_every_other_fraction_reduces_to_the_canonical_form(num, den, expected):
     f = RatFunc(num, den)
     assert (f.num, f.den) == tuple(map(IntPoly.coerce, expected))
+
+
+def test_a_sum_and_a_product_over_a_common_factor_divide_only_inside_gcdheu(monkeypatch):
+    """Henrici's sum and product take the cofactors of their gcds, so the
+    only divisions are GCDHEU's trial divisions of its candidate."""
+    q = T**2 + T + 5
+    f = RatFunc(T**3 + 2, q * (T**2 - 3))
+    g = RatFunc(T**2 + 7, q * (T**2 + 2))  # gcd(b, d) = q
+    h = RatFunc(q * (T**2 + 9), T**3 + 5)  # gcd(c, b) = q
+    total = RatFunc((T**3 + 2) * (T**2 + 2) + (T**2 + 7) * (T**2 - 3), q * (T**2 - 3) * (T**2 + 2))
+    product = RatFunc((T**3 + 2) * (T**2 + 9), (T**2 - 3) * (T**3 + 5))
+    # u + v = 2q, so the sum's numerator shares q with gcd(b, d) = q again
+    u, v = T**2 - 3, T**2 + 2 * T + 13
+    parts, cancelled = (RatFunc(1, q * u), RatFunc(1, q * v)), RatFunc(2, u * v)
+    callers = []
+    divmod_exact = IntPoly.divmod_exact
+
+    def recorded(self, d):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return divmod_exact(self, d)
+
+    monkeypatch.setattr(IntPoly, "divmod_exact", recorded)
+    assert f + g == total
+    assert parts[0] + parts[1] == cancelled
+    assert f * h == product
+    assert callers and set(callers) == {"_heu_gcd"}
