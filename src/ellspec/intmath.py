@@ -44,7 +44,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin test, deterministic far beyond the sizes used here."""
+    """Miller-Rabin test to the 13 prime bases up to 41.  It proves n prime
+    only below psi_13 ~ 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017);
+    above that, True only says that n is a strong probable prime to them."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -94,7 +96,11 @@ def _pollard_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
         while g == 1:
             steps += 2 * r * weight  # this round's steps, at most
             if steps > budget:
-                raise FactorBudgetError(f"no factor of the composite {n} within the "
+                try:
+                    name = str(n)
+                except ValueError:  # past Python's int-to-string digit limit
+                    name = f"of {n.bit_length()} bits"
+                raise FactorBudgetError(f"no factor of the composite {name} within the "
                                         f"{_RHO_BUDGET} steps allowed per integer")
             x = y
             for _ in range(r):

@@ -7,24 +7,25 @@ Grammar (also used by the printers, so parse-print-parse is a fixpoint):
     factor := ('+'|'-')* base ('^' uint)?
     base   := uint | 't' | 'x' | '(' expr ')'
 
-A value is a polynomial in x held as plain lists: the Z[t] numerators of
-its coefficients, each a list of ints, over one common Z[t] denominator,
-which stays 1 until a '/' divides.  Each output coefficient becomes one
-RatFunc, reduced once, at the end.  An x-free value divided by a
-non-constant is held as a RatFunc instead, whose sums and products cancel
-small gcds as they go (Henrici), so a long sum of fractions takes no large
-gcd.  Division is only allowed by x-free subexpressions.  An exponent, a
-power, a product or a sum whose degree in t or x, counted on the operands
-as they are held, would exceed MAX_DEGREE is rejected before it is
-computed, and so are parentheses nested deeper than MAX_NESTING.  Each
-input is read as one token stream, so every error offset indexes the whole
-text.  Curves accept three forms: "e=(p1,p2,p3)" (split model),
-"A=...; B=...; C=..." with each key once, and the equation form
-"y^2 = x^3 + ...".
+A value is a polynomial in x.  Until a '/' touches it, its coefficients
+are Z[t] elements held as plain lists of ints, and each output coefficient
+becomes one RatFunc n/1, which takes no gcd.  From the first '/' on, the
+value and every value it meets are lists of RatFunc coefficients, whose
+sums and products cancel small gcds as they go (Henrici), so a long sum of
+fractions takes no large gcd.  Division is only allowed by x-free
+subexpressions.  An exponent, a power, a product or a sum whose degree in
+t or x would exceed MAX_DEGREE is rejected before it is computed, and so
+are parentheses nested deeper than MAX_NESTING.  Degrees are those of the
+operands as held; a sum adds to each operand's degree the largest degree
+of a denominator of the other.  Each input is read as one token stream, so
+every error offset indexes the whole text.  Curves accept three forms:
+"e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." with each key once,
+and the equation form "y^2 = x^3 + ...".
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 
@@ -68,9 +69,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         pos = m.end()
 
 
-_ONE_T = [1]
-_ONE_VALUE = ([_ONE_T], _ONE_T)
-_ONE_Q = RatFunc(1)
+_ZERO_Q, _ONE_Q = RatFunc(0), RatFunc(1)
 
 
 def _mul_x(f: list, g: list) -> list:
@@ -85,58 +84,49 @@ def _mul_x(f: list, g: list) -> list:
     return _trim([_trim(packed[i : i + s]) for i in range(0, len(packed), s)], [])
 
 
-def _lists(v):
-    """A value as (numerators, denominator) lists, also when held as a RatFunc."""
-    return (_trim([list(v.num.coeffs)], []), list(v.den.coeffs)) if isinstance(v, RatFunc) else v
+def _over_q(v) -> bool:
+    """Whether v is held as RatFunc coefficients rather than Z[t] int lists."""
+    return bool(v) and isinstance(v[0], RatFunc)
+
+
+def _qt(v) -> list:
+    """v as RatFunc coefficients: an int list n enters as n/1, with no gcd."""
+    return v if _over_q(v) else [_ONE_Q * IntPoly(n) for n in v]
 
 
 def _degree(v) -> int:
-    """Largest degree in x, or in t of a numerator or the denominator."""
-    nums, den = _lists(v)
-    return max(len(nums) - 1, len(den) - 1, *(len(n) - 1 for n in nums))
+    """Largest degree in x, or in t of a coefficient's numerator or denominator."""
+    if _over_q(v):
+        return max(len(v) - 1, *(p.degree for c in v for p in (c.num, c.den)))
+    return max(len(v), 1, *map(len, v)) - 1
 
 
-def _in_qt(a, b) -> bool:
-    """Whether a op b is computed in Q(t): both are x-free and one is held there."""
-    held = isinstance(a, RatFunc) or isinstance(b, RatFunc)
-    return held and max(len(_lists(a)[0]), len(_lists(b)[0])) <= 1
-
-
-def _ratfunc(v) -> RatFunc:
-    """An x-free value as an element of Q(t): its numerator enters as n/1,
-    which takes no gcd, and the division cancels gcd(n, den) alone."""
-    if isinstance(v, RatFunc):
-        return v
-    nums, den = v
-    return _ONE_Q * IntPoly(nums[0] if nums else ()) / IntPoly(den)
+def _den_degree(v) -> int:
+    """Largest degree in t of a coefficient's denominator."""
+    return max(c.den.degree for c in v) if _over_q(v) else 0
 
 
 def _coeff(v, i: int = 0) -> RatFunc:
-    """The coefficient of x^i, reduced in Q(t) once."""
-    if isinstance(v, RatFunc):
-        return v
-    nums, den = v
-    return RatFunc(IntPoly(nums[i] if i < len(nums) else ()), IntPoly(den))
+    """The coefficient of x^i; an int list n becomes n/1, with no gcd."""
+    if i >= len(v):
+        return _ZERO_Q
+    return v[i] if _over_q(v) else RatFunc(IntPoly(v[i]))
 
 
 def _neg(v):
-    return -v if isinstance(v, RatFunc) else ([[-c for c in n] for n in v[0]], v[1])
+    return [-c for c in v] if _over_q(v) else [[-c for c in n] for n in v]
 
 
 def _add(a, b):
-    if _in_qt(a, b):
-        return _ratfunc(a) + _ratfunc(b)
-    (f, d), (g, e) = _lists(a), _lists(b)
-    if d != e:
-        f, g, d = _mul_x(f, [e]), _mul_x(g, [d]), _mul_x([d], [e])[0]
-    return _add_coeffs(f, g, _add_coeffs, []), d
+    if _over_q(a) or _over_q(b):
+        return _add_coeffs(_qt(a), _qt(b), operator.add, _ZERO_Q)
+    return _add_coeffs(a, b, _add_coeffs, [])
 
 
 def _mul(a, b):
-    if _in_qt(a, b):
-        return _ratfunc(a) * _ratfunc(b)
-    (f, d), (g, e) = _lists(a), _lists(b)
-    return _mul_x(f, g), d if e == _ONE_T else _mul_x([d], [e])[0]
+    if not (_over_q(a) or _over_q(b)):
+        return _mul_x(a, b)
+    return _mul_coeffs(_qt(a), _qt(b), _ZERO_Q) if a and b else []
 
 
 def _check_degree(degree: int, pos: int) -> None:
@@ -197,8 +187,8 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                dens = len(_lists(value)[1]) - 1, len(_lists(rhs)[1]) - 1
-                _check_degree(max(_degree(value) + dens[1], _degree(rhs) + dens[0]), pos)
+                degree = max(_degree(value) + _den_degree(rhs), _degree(rhs) + _den_degree(value))
+                _check_degree(degree, pos)
                 value = _add(value, rhs if op == "+" else _neg(rhs))
             else:
                 return value
@@ -214,15 +204,12 @@ class _Parser:
                 if op == "*":
                     value = _mul(value, rhs)
                     continue
-                g, e = _lists(rhs)
-                if len(g) > 1:
+                if len(rhs) > 1:
                     raise ParseError("division by an x-dependent expression", pos)
-                if not g:
+                if not rhs:
                     raise ParseError("division by zero", pos)
-                if isinstance(value, RatFunc) or len(value[0]) <= 1 and (len(g[0]) > 1 or len(e) > 1):
-                    value = _ratfunc(value) / _ratfunc(rhs)
-                else:
-                    value = _mul(value, ([e], g[0]))
+                d = _qt(rhs)[0]
+                value = [c / d for c in _qt(value)]
             else:
                 return value
 
@@ -241,18 +228,18 @@ class _Parser:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", pos)
             _check_degree(exp * _degree(base), pos)
             self.advance()
-            base = _power(base, exp, _ONE_VALUE, _mul)
+            base = _power(base, exp, [[1]], _mul)
         return _neg(base) if negate else base
 
     def parse_base(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return [[value]] if value else [], _ONE_T
+            return [[value]] if value else []
         if kind == "name":
             if value == "t":
-                return [[0, 1]], _ONE_T
+                return [[0, 1]]
             if value == "x" and self.allow_x:
-                return [[], [1]], _ONE_T
+                return [[], [1]]
             raise ParseError(f"unexpected symbol {value!r}", pos)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
@@ -296,9 +283,9 @@ def parse_curve(text: str) -> Curve:
     if parser.accept(("name", "y"), ("op", "^"), ("int", 2), ("op", "=")):
         parser.allow_x = True
         start = parser.peek()[2]
-        rhs = _lists(parser.parse_expr())
+        rhs = parser.parse_expr()
         parser.expect_end()
-        if len(rhs[0]) != 4 or rhs[0][3] != rhs[1]:
+        if len(rhs) != 4 or rhs[3] not in ([1], _ONE_Q):
             raise ParseError("right-hand side must be a monic cubic in x", start)
         return Curve(_coeff(rhs, 2), _coeff(rhs, 1), _coeff(rhs, 0))
     kind, key, pos = parser.peek()

@@ -91,6 +91,17 @@ def test_a_rho_step_weighs_the_square_of_the_bit_length_over_500_squared(monkeyp
     assert weighted == weight * _rho_steps(n)
 
 
+def test_rho_out_of_steps_names_a_composite_past_the_digit_limit_by_its_bits():
+    n = (10**2200 + 3) * (10**2200 + 7)
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        str(n)  # 4,401 digits, past Python's default limit of 4,300
+    with pytest.raises(FactorBudgetError) as exc:
+        intmath._pollard_rho(n, random.Random(0), 0)
+    message = str(exc.value)
+    assert message.startswith(f"no factor of the composite of {n.bit_length()} bits within the ")
+    assert message.endswith(f" {intmath._RHO_BUDGET} steps allowed per integer")
+
+
 @given(st.integers(min_value=0, max_value=10**18))
 def test_exact_isqrt(n):
     r = exact_isqrt(n)

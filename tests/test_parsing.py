@@ -62,6 +62,8 @@ def test_parse_errors_carry_positions():
 def test_degree_limit():
     assert parse_poly("t^1000") == T**MAX_DEGREE
     assert parse_ratfunc("(1/t^500)^2") == 1 / t**1000
+    # a value is held in lowest terms, x-dependent or not: x^3*t/t has degree 3
+    assert parse_curve("y^2 = x^3*t/t + t^1000").C == t**1000
     # rejected before computing, at the exponent or the operator
     for text, position in [("t^1001", 2), ("(t^500)^3", 8), ("(1/t^500)/t^501", 9)]:
         with pytest.raises(ParseError) as exc:
@@ -72,14 +74,24 @@ def test_degree_limit():
 
 
 def test_sum_degree_limit():
-    # the common denominator of a sum has the degree of the product of its
-    # operands' denominators, counted before any cancellation
+    # a sum has the degree of the product of its operands' denominators,
+    # counted before the sum cancels anything
     assert parse_ratfunc("1/(t^500+1) + 1/(t^500+2)").den.degree == 1000
+    assert parse_curve("y^2 = x^3 + x/(t^500+1) + x/(t^500+2)").B.den.degree == 1000
     with pytest.raises(ParseError) as exc:
         parse_ratfunc("1/(t^600+1) + 1/(t^600+2)")
     assert exc.value.position == 12
     with pytest.raises(ParseError):
         parse_ratfunc("(t^600+1)/(t^600+1) - 1/(t^600+2)")
+    # x-dependent fractions: each operand meets the other's largest denominator
+    for text, message in [
+        ("y^2 = x^3 + x/(t^600+1) + x/(t^600+2)", "degree 1200 exceeds the limit 1000 at offset 24"),
+        ("y^2 = x^3 + x^2/(t^600+1) - 1/(t^600+2)", "degree 1200 exceeds the limit 1000 at offset 26"),
+        ("y^2 = x^3 + x/t^400 + x/t^700", "degree 1100 exceeds the limit 1000 at offset 20"),
+        ("y^2 = (x/t^300)^3*t^900 + x/t^400 + x/t^600", "degree 1800 exceeds the limit 1000 at offset 17"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_curve(text)
 
 
 def test_nesting_limit():
@@ -180,6 +192,40 @@ def test_each_coefficient_is_reduced_once(monkeypatch, text):
     calls = 0
     Curve(curve.A, curve.B, curve.C)  # what building the curve itself costs
     assert parsing_calls - calls <= 3
+
+
+class _RecordedCurve:
+    """Stands in for Curve, so only the parser's own arithmetic is counted."""
+
+    def __init__(self, *coeffs):
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_roots(cls, *roots):
+        return cls(*roots)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A=-t + 6; B=t^2 - t + 10; C=-(t - 1)^3 + t^2 + 5*t + 3",
+        "e=(0, --t - 2, (3*t + 1)^2)",
+        "y^2 = (x - t)^3 + (t + 3)*x^2 - -(-t^3 + 2*t^2 - 3*t + 4)*x",
+    ],
+    ids=["coefficient form", "split form", "equation form"],
+)
+def test_a_text_without_a_slash_does_no_arithmetic_in_q_t(monkeypatch, text):
+    """Without a '/', a value stays on Z[t] int lists; only the output
+    coefficients are built as RatFunc."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        op = getattr(RatFunc, name)
+        monkeypatch.setattr(RatFunc, name, lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+    monkeypatch.setattr(parsing, "Curve", _RecordedCurve)
+    curve = parse_curve(text)
+    assert calls == [] and all(isinstance(c, RatFunc) for c in curve.coeffs)
+    parse_curve(text.replace("3", "3/1"))  # the same text with a '/' is counted
+    assert "__truediv__" in calls
 
 
 def test_parse_curve_split_form():
