@@ -96,10 +96,8 @@ def _pollard_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
         while g == 1:
             steps += 2 * r * weight  # this round's steps, at most
             if steps > budget:
-                try:
-                    name = str(n)
-                except ValueError:  # past Python's int-to-string digit limit
-                    name = f"of {n.bit_length()} bits"
+                limit = sys.get_int_max_str_digits()  # 0: none; a digit is over 3 bits
+                name = f"of {n.bit_length()} bits" if 0 < 3 * limit < n.bit_length() else n
                 raise FactorBudgetError(f"no factor of the composite {name} within the "
                                         f"{_RHO_BUDGET} steps allowed per integer")
             x = y

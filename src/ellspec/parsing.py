@@ -15,12 +15,12 @@ sums and products cancel small gcds as they go (Henrici), so a long sum of
 fractions takes no large gcd.  Division is only allowed by x-free
 subexpressions.  An exponent, a power, a product or a sum whose degree in
 t or x would exceed MAX_DEGREE is rejected before it is computed, and so
-are parentheses nested deeper than MAX_NESTING.  Degrees are those of the
-operands as held; a sum adds to each operand's degree the largest degree
-of a denominator of the other.  Each input is read as one token stream, so
-every error offset indexes the whole text.  Curves accept three forms:
-"e=(p1,p2,p3)" (split model), "A=...; B=...; C=..." with each key once,
-and the equation form "y^2 = x^3 + ...".
+are parentheses nested deeper than MAX_NESTING.  Each operand is counted over
+the lcm of its coefficients' denominators, and a sum adds to each one's
+degree that of the other's lcm, so every coefficient computed is bounded.
+Each input is read as one token stream, so every error offset indexes the
+whole text.  Curves accept three forms: "e=(p1,p2,p3)" (split model),
+"A=...; B=...; C=..." with each key once, and "y^2 = x^3 + ...".
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import re
 import sys
 
 from .curves import Curve, O, Point
-from .intpoly import IntPoly, _add_coeffs, _mul_coeffs, _power, _trim
+from .intpoly import IntPoly, _add_coeffs, _gcd_cofactors, _mul_coeffs, _power, _trim
 from .ratfunc import RatFunc
 
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
@@ -94,16 +94,17 @@ def _qt(v) -> list:
     return v if _over_q(v) else [_ONE_Q * IntPoly(n) for n in v]
 
 
-def _degree(v) -> int:
-    """Largest degree in x, or in t of a coefficient's numerator or denominator."""
-    if _over_q(v):
-        return max(len(v) - 1, *(p.degree for c in v for p in (c.num, c.den)))
-    return max(len(v), 1, *map(len, v)) - 1
-
-
-def _den_degree(v) -> int:
-    """Largest degree in t of a coefficient's denominator."""
-    return max(c.den.degree for c in v) if _over_q(v) else 0
+def _degrees(v) -> tuple[int, int]:
+    """(degree, denominator degree) of v over the lcm L of its coefficients'
+    denominators: the largest degree in x, or in t of L or a numerator over L."""
+    if not _over_q(v):
+        return max(len(v), 1, *map(len, v)) - 1, 0
+    den = IntPoly.const(1)
+    for c in v:
+        if c.den != 1 and c.den != den:
+            den = c.den if den == 1 else den * _gcd_cofactors(den, c.den)[2]
+    e = den.degree
+    return max(len(v) - 1, e, *(e + c.num.degree - c.den.degree for c in v)), e
 
 
 def _coeff(v, i: int = 0) -> RatFunc:
@@ -187,8 +188,8 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                degree = max(_degree(value) + _den_degree(rhs), _degree(rhs) + _den_degree(value))
-                _check_degree(degree, pos)
+                (da, ea), (db, eb) = _degrees(value), _degrees(rhs)
+                _check_degree(max(da + eb, db + ea), pos)
                 value = _add(value, rhs if op == "+" else _neg(rhs))
             else:
                 return value
@@ -200,7 +201,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.parse_factor()
-                _check_degree(_degree(value) + _degree(rhs), pos)
+                _check_degree(_degrees(value)[0] + _degrees(rhs)[0], pos)
                 if op == "*":
                     value = _mul(value, rhs)
                     continue
@@ -226,7 +227,7 @@ class _Parser:
                 raise ParseError("expected a nonnegative integer exponent", pos)
             if exp > MAX_DEGREE:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", pos)
-            _check_degree(exp * _degree(base), pos)
+            _check_degree(exp * _degrees(base)[0], pos)
             self.advance()
             base = _power(base, exp, [[1]], _mul)
         return _neg(base) if negate else base
@@ -285,7 +286,7 @@ def parse_curve(text: str) -> Curve:
         start = parser.peek()[2]
         rhs = parser.parse_expr()
         parser.expect_end()
-        if len(rhs) != 4 or rhs[3] not in ([1], _ONE_Q):
+        if len(rhs) != 4 or _coeff(rhs, 3) != 1:
             raise ParseError("right-hand side must be a monic cubic in x", start)
         return Curve(_coeff(rhs, 2), _coeff(rhs, 1), _coeff(rhs, 0))
     kind, key, pos = parser.peek()

@@ -83,7 +83,7 @@ def test_sum_degree_limit():
     assert exc.value.position == 12
     with pytest.raises(ParseError):
         parse_ratfunc("(t^600+1)/(t^600+1) - 1/(t^600+2)")
-    # x-dependent fractions: each operand meets the other's largest denominator
+    # x-dependent fractions: each operand meets the lcm of the other's denominators
     for text, message in [
         ("y^2 = x^3 + x/(t^600+1) + x/(t^600+2)", "degree 1200 exceeds the limit 1000 at offset 24"),
         ("y^2 = x^3 + x^2/(t^600+1) - 1/(t^600+2)", "degree 1200 exceeds the limit 1000 at offset 26"),
@@ -92,6 +92,63 @@ def test_sum_degree_limit():
     ]:
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_curve(text)
+
+
+def test_product_degree_limit():
+    # an x-dependent operand counts over the lcm of its coefficients'
+    # denominators, whose degree a product's coefficients can reach
+    curve = parse_curve("y^2 = x^3 + (x/(t^250+1) + 1/(t^250+2))*(x/(t^248+3) + 1/(t^248+4))")
+    assert curve.B.den.degree == 996
+    for text, degree, offset in [
+        ("y^2 = x*(x/(t^500+1) + 1/(t^500+2))*((t^500+1)*x + 1/(t^500+3))", 1001, 7),
+        ("y^2 = x^3 + (x/(t^250+1) + 1/(t^250+2))*(x^2/(t^250+3) + 1/(t^250+4))", 1003, 10),
+        ("y^2 = (x/(t^500+1) + 1/(t^500+2))*((t^500+1)*x^2 + x/(t^500+3) + 1/(t^500+4))", 1500, 63),
+        ("y^2 = (x^2/(t^200+1) + x/(t^200+2) + 1/(t^200+3))^2", 1200, 50),
+    ]:
+        with pytest.raises(ParseError, match=f"^degree {degree} exceeds the limit 1000 at offset {offset}$"):
+            parse_curve(text)
+
+
+_SMALL_LIMIT = 8
+_terms = st.tuples(
+    st.sampled_from(["1", "2", "t", "x", "x^2"]),
+    st.sampled_from(["", "/t^2", "/(t+1)", "/(t^2-3)", "/(t^3+t+1)", "/(t^4-2*t+5)"]),
+).map("".join)
+_sums = st.lists(_terms, min_size=1, max_size=3).map(lambda terms: f"({' - '.join(terms)})")
+_texts = st.one_of(
+    st.lists(_sums, min_size=2, max_size=3).map(" * ".join),
+    st.lists(_sums, min_size=2, max_size=3).map(" + ".join),
+    st.tuples(_sums, st.integers(2, 4)).map(lambda p: f"{p[0]}^{p[1]}"),
+    st.tuples(_sums, _sums).map(" / ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+@example("(2*x/(t^4-2*t+5) - x^2/t^2) * (x^2/(t^3+t+1) - x/(t^3+t+1) - 1/t^2)")
+@example("(1/(t^4-2*t+5) - x/(t^2-3) - x^2/(t^3+t+1))^2")
+def test_the_degree_limit_bounds_every_polynomial_computed(text):
+    """With the limit lowered to 8, no polynomial in t that a parse builds,
+    nor a degree in x, goes past it, whether the text parses or not."""
+    built = []
+    trusted, init, mul_x = IntPoly._trusted.__func__, IntPoly.__init__, parsing._mul_x
+
+    def recorded_mul_x(f, g):
+        product = mul_x(f, g)
+        built.extend(len(n) - 1 for n in [product, *product])
+        return product
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parsing, "MAX_DEGREE", _SMALL_LIMIT)
+        patch.setattr(parsing, "Curve", _RecordedCurve)
+        patch.setattr(parsing, "_mul_x", recorded_mul_x)
+        patch.setattr(IntPoly, "_trusted", classmethod(lambda cls, c: built.append(len(c) - 1) or trusted(cls, c)))
+        patch.setattr(IntPoly, "__init__", lambda p, c=(): init(p, c) or built.append(p.degree))
+        try:
+            parse_curve(f"y^2 = x^3 + {text}")
+        except ParseError:
+            pass
+    assert max(built, default=0) <= _SMALL_LIMIT
 
 
 def test_nesting_limit():
