@@ -17,6 +17,7 @@ Four checks on a rational number t0:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -194,15 +195,25 @@ _TARGET_BUILDERS = {
 }
 
 
+def _require_known(condition) -> None:
+    if condition not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
+
+
 class Checker:
     """One criterion prepared for one curve.  The constructor factors each
-    distinct piece of the targets once and lists nothing; check(t0) lists
-    and evaluates every divisor for its report, and passes(t0) decides the
-    same verdict from the factors alone.  Constant targets are dropped."""
+    distinct piece of the targets once and lists nothing; the first
+    check(t0) lists every divisor of self.targets, and each check evaluates
+    that one listing for its report.  passes(t0) decides the same verdict
+    from the factors alone and lists nothing.  Constant targets are dropped.
+
+    A Checker built directly is its caller's own.  check_condition and
+    find_t0, and so replay and mestre, share one per (condition, curve,
+    split roots in order) through a memo of the _PREPARED_MAX most recently
+    used."""
 
     def __init__(self, curve: Curve, condition: str):
-        if condition not in CONDITION_NAMES:
-            raise ValueError(f"unknown condition {condition!r}; choose from {CONDITION_NAMES}")
+        _require_known(condition)
         built = [tg for tg in _TARGET_BUILDERS[condition](curve)
                  if not all(p.is_constant for p in tg[1])]
         facs = {p: factor(p) for p in {piece for _, pieces in built for piece in pieces}}
@@ -238,10 +249,10 @@ class Checker:
             raise ValueError(f"condition {self.condition} at t0={t0}: the report would list "
                              f"{count} divisors, over the cap of {_DIVISOR_CAP}")
         n, m = t0.numerator, t0.denominator
-        for label, factors, primes in self.targets:
+        for (label, factors, _), divisors in zip(self.targets, self._listing):
             # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
             values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
-            for h, c, idx in _divisor_products(factors, primes):
+            for h, c, idx in divisors:
                 value = Fraction(c * math.prod(values[i] for i in idx), m**h.degree)
                 root = is_square_rat(value)
                 report.checks.append(DivisorCheck(label, h, value, root))
@@ -301,6 +312,11 @@ class Checker:
         return True
 
     @cached_property
+    def _listing(self) -> list[list[tuple[IntPoly, int, tuple[int, ...]]]]:
+        """_divisor_products of each target, listed on the first check."""
+        return [_divisor_products(factors, primes) for _, factors, primes in self.targets]
+
+    @cached_property
     def _cubic_has_qt_root(self) -> bool:
         """Whether x^3 + A x^2 + B x + C has a root in Q(t).  Such a root r
         lies in Z[t], so r(t0) is a rational root of every specialized cubic."""
@@ -311,9 +327,30 @@ class Checker:
         return _q_cubic_roots(A(t0), B(t0), C(t0))
 
 
+# Prepared Checkers kept per process.  A check and its replay use one entry
+# back to back; a memo that held a whole bench round of 256 raised peak memory
+# by about 10%.
+_PREPARED_MAX = 8
+
+
+def _prepared(curve: Curve, condition: str) -> Checker:
+    """The shared Checker of condition on curve (see Checker)."""
+    _require_known(condition)  # before the memo hashes it
+    return _prepare(condition, curve.split_roots, curve)
+
+
+@functools.lru_cache(maxsize=_PREPARED_MAX)
+def _prepare(condition: str, split_roots, curve: Curve) -> Checker:
+    # equal curves have equal integral models; the split roots fix the targets' order
+    return Checker(curve, condition)
+
+
 def check_condition(curve: Curve, condition: str, t0: Fraction) -> ConditionReport:
-    """Run one of the four criteria at t0 and return the full report."""
-    return Checker(curve, condition).check(t0)
+    """Run one of the four criteria at t0 and return the full report, which
+    names curve; the Checker is the shared one (see Checker)."""
+    report = _prepared(curve, condition).check(t0)
+    report.curve = curve
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +384,15 @@ def find_t0(
     criterion; raises BudgetExhausted when none is found in budget.
 
     Each candidate is decided by Checker.passes, and the full report of
-    Checker.check is built once, for the t0 returned, so it is the same
-    report and certificate that check_condition gives at that t0."""
-    checker = Checker(curve, condition)
+    Checker.check is built once, for the t0 returned, by the shared Checker
+    that check_condition uses, so it is the same report and certificate."""
+    checker = _prepared(curve, condition)
     for t0 in t0_candidates(budget):
         if checker.passes(t0):
             report = checker.check(t0)
             if not report.passed:
                 raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
+            report.curve = curve
             return report
     raise BudgetExhausted(
         f"no t0 passing condition {condition} within {budget} (not a disproof)"
@@ -423,13 +461,16 @@ def _curve_from_json(cdoc) -> Curve:
 def replay_certificate(doc: str | dict) -> tuple[bool, ConditionReport]:
     """Re-verify a serialized certificate from scratch.
 
-    Re-parses the curve, re-enumerates every divisor and recomputes every
-    evaluation; returns (matches, fresh_report) where matches is True iff
+    Re-parses the curve and recomputes the report, every divisor value
+    included; returns (matches, fresh_report) where matches is True iff
     the stored document equals the fresh report's certificate in every
     field.  A document that lacks a field, or whose curve or t0 cannot be
-    read, raises ValueError.  factor is memoized per process on its 1024
-    most recently used inputs, so a replay in the process that ran the check
-    reuses the check's factorizations; a fresh process factors again.
+    read, raises ValueError.  The replay goes through check_condition, whose
+    prepared Checkers are kept per process for the last _PREPARED_MAX
+    (condition, curve, split roots): a replay in the process that ran the
+    check reuses its factored targets, its divisor listing and each
+    divisor's text, and factors and lists nothing.  A fresh process, such
+    as `check --replay`, prepares everything from scratch.
     """
     if isinstance(doc, str):
         try:

@@ -22,7 +22,7 @@ from .intpoly import (
     _power,
     cubic_discriminant,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _common_den
 
 __all__ = ["Point", "Curve", "SingularCurveError", "OffCurveError"]
 
@@ -78,17 +78,16 @@ class Curve:
         self.split_roots = None
         if over_qt:
             # x = X/d turns the cubic into the monic X^3 + aX^2 + bX + c with
-            # a, b, c = dA, d^2B, d^3C in Z[t], d the product of the
+            # a, b, c = dA, d^2B, d^3C in Z[t], d the lcm of the
             # denominators; its discriminant is d^6 times that of the cubic.
             # With d = 1 the model is the numerators themselves.
-            dens = (self.A.den, self.B.den, self.C.den)
-            d = 1 if dens == (1, 1, 1) else dens[0] * dens[1] * dens[2]
+            d = _common_den((self.A, self.B, self.C))
             self._model = tuple(
                 f.num if d == 1 else _exact_quotient(d**k * f.num, f.den)
                 for k, f in ((1, self.A), (2, self.B), (3, self.C))
             )
             self._model_den = d
-            self.disc_cubic = RatFunc(cubic_discriminant(*self._model), d**6)
+            self.disc_cubic = RatFunc(cubic_discriminant(*self._model), 1 if d == 1 else d**6)
         else:
             self.disc_cubic = cubic_discriminant(self.A, self.B, self.C)
         if not self.disc_cubic:
@@ -99,11 +98,10 @@ class Curve:
     @classmethod
     def from_roots(cls, e1, e2, e3) -> "Curve":
         """y^2 = (x - e1)(x - e2)(x - e3) over Q(t).  With e_i = n_i / D over
-        D = d1 d2 d3, A, B and C are -s1 / D, s2 / D^2 and -s3 / D^3 for the
-        elementary symmetric polynomials s_k of n1, n2, n3, each reduced once."""
+        D = lcm(d1, d2, d3), A, B and C are -s1 / D, s2 / D^2 and -s3 / D^3 for
+        the elementary symmetric polynomials s_k of n1, n2, n3, each reduced once."""
         roots = tuple(RatFunc._coerce(e) for e in (e1, e2, e3))
-        dens = tuple(e.den for e in roots)
-        D = 1 if dens == (1, 1, 1) else dens[0] * dens[1] * dens[2]
+        D = _common_den(roots)
         n1, n2, n3 = (e.num if D == 1 else e.num * _exact_quotient(D, e.den) for e in roots)
         n12 = n1 * n2
         curve = cls(

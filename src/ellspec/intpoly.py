@@ -25,7 +25,7 @@ __all__ = [
 class IntPoly:
     """Immutable element of Z[t]."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_text")  # _text: str(self), set on the first call
 
     def __init__(self, coeffs: Iterable[int] = ()):
         c = _trim(list(coeffs))
@@ -204,6 +204,13 @@ class IntPoly:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            self._text = self._format()
+            return self._text
+
+    def _format(self) -> str:
         if self.is_zero:
             return "0"
         terms = []

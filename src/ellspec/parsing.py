@@ -30,8 +30,8 @@ import re
 import sys
 
 from .curves import Curve, O, Point
-from .intpoly import IntPoly, _add_coeffs, _gcd_cofactors, _mul_coeffs, _power, _trim
-from .ratfunc import RatFunc
+from .intpoly import IntPoly, _add_coeffs, _mul_coeffs, _power, _trim
+from .ratfunc import RatFunc, _common_den
 
 __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_point"]
 
@@ -99,11 +99,7 @@ def _degrees(v) -> tuple[int, int]:
     denominators: the largest degree in x, or in t of L or a numerator over L."""
     if not _over_q(v):
         return max(len(v), 1, *map(len, v)) - 1, 0
-    den = IntPoly.const(1)
-    for c in v:
-        if c.den != 1 and c.den != den:
-            den = c.den if den == 1 else den * _gcd_cofactors(den, c.den)[2]
-    e = den.degree
+    e = _common_den(v).degree
     return max(len(v) - 1, e, *(e + c.num.degree - c.den.degree for c in v)), e
 
 

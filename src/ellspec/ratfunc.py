@@ -199,3 +199,12 @@ def _prod(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RatFunc:
     if b != 1:
         _, c, b = _gcd_cofactors(c, b)
     return RatFunc._reduced(a * c, b * d)
+
+
+def _common_den(values) -> IntPoly:
+    """The lcm of the denominators of the RatFunc values (1 for none)."""
+    den = _ONE
+    for c in values:
+        if c.den != 1 and c.den != den:
+            den = c.den if den == 1 else den * _gcd_cofactors(den, c.den)[2]
+    return den

@@ -1,12 +1,14 @@
-"""factorize.factor is memoized per process, so a test that watches the
-factorizer at work, or patches one of its helpers, would see an earlier
-test's memo instead.  Every test starts from an empty memo."""
+"""factorize.factor and conditions._prepare are memoized per process, so a
+test that watches the factorizer or the divisor listing at work, or
+patches one of their helpers, would see an earlier test's memo instead.
+Every test starts from empty memos."""
 
 import pytest
 
-from ellspec import factorize
+from ellspec import conditions, factorize
 
 
 @pytest.fixture(autouse=True)
-def _empty_factor_memo():
+def _empty_memos():
     factorize.factor.cache_clear()
+    conditions._prepare.cache_clear()

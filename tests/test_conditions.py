@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -203,11 +204,13 @@ def test_only_reports_list_divisors(monkeypatch, kind, condition):
         for t0 in t0s:
             checker.passes(t0)
         assert calls == []
+        listed = False
         for t0 in t0s:
-            if checker.check(t0).discriminant_value:
-                assert calls == [factors for _, factors, _ in checker.targets]
-            else:
-                assert calls == []
+            # the first nonsingular report lists each target once; later ones reuse it
+            nonsingular = checker.check(t0).discriminant_value != 0
+            first = nonsingular and not listed
+            assert calls == ([factors for _, factors, _ in checker.targets] if first else [])
+            listed |= nonsingular
             calls.clear()
 
 
@@ -531,3 +534,107 @@ def test_divisor_values_are_divisors_at_t0(kind):
     assert len(checks) > 100
     for t0, chk in checks:
         assert chk.value == chk.divisor(t0) == _fraction_horner(chk.divisor, t0)
+
+
+# -- one preparation per curve and criterion -----------------------------------
+#
+# check_condition and find_t0, and through them replay and mestre, share the
+# Checker of a (condition, curve, split roots in order): its factored
+# targets, its one divisor listing and each divisor's text.
+
+SHARED = [("A", "e=(0, t, 7*t+1)"), ("Aprime", "e=(0, t, 7*t+1)"),
+          ("scriptA", "y^2 = x^3 + t^2*x^2 - x"), ("A1B", "y^2 = x^3 + (t^2 + 1)*x + t")]
+SHARED_T0S = [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3), Fraction(7)]
+
+
+def _count_factoring(monkeypatch) -> list:
+    """Every input of a factor call from conditions."""
+    calls = []
+    monkeypatch.setattr(conditions, "factor", lambda p: calls.append(p) or factor(p))
+    return calls
+
+
+@pytest.mark.parametrize("condition, text", SHARED)
+def test_an_in_process_replay_lists_and_factors_nothing(monkeypatch, condition, text):
+    curve = parse_curve(text)
+    report = check_condition(curve, condition, Fraction(2))
+    assert report.curve is curve
+    listings, factored = _count_listings(monkeypatch), _count_factoring(monkeypatch)
+    matches, fresh = replay_certificate(certificate_to_json(report))
+    assert matches
+    assert listings == factored == []
+    assert fresh.curve == curve and fresh.curve is not curve  # the replay names its own curve
+
+
+@pytest.mark.parametrize("condition, text", SHARED)
+def test_certificates_from_a_shared_listing_equal_cold_ones(condition, text):
+    warm = [certificate_to_json(check_condition(parse_curve(text), condition, t0))
+            for t0 in SHARED_T0S]
+    for t0, certificate in zip(SHARED_T0S, warm):
+        conditions._prepare.cache_clear()
+        factor.cache_clear()
+        assert certificate_to_json(check_condition(parse_curve(text), condition, t0)) == certificate
+
+
+@pytest.mark.parametrize("condition, text", SHARED)
+def test_a_shared_checker_lists_once_for_every_t0(monkeypatch, condition, text):
+    listings = _count_listings(monkeypatch)
+    reports = [check_condition(parse_curve(text), condition, t0) for t0 in SHARED_T0S]
+    assert all(report.discriminant_value for report in reports)
+    checker = conditions._prepared(parse_curve(text), condition)
+    assert listings == [factors for _, factors, _ in checker.targets]
+
+
+@pytest.mark.parametrize("condition, text", SHARED)
+def test_a_search_and_a_check_at_its_t0_list_once(monkeypatch, condition, text):
+    listings = _count_listings(monkeypatch)
+    checker = conditions._prepared(parse_curve(text), condition)
+    curve = parse_curve(text)
+    found = find_t0(curve, condition, SearchBudget(30, 6))
+    assert found.curve is curve and checker.curve is not curve
+    report = check_condition(parse_curve(text), condition, found.t0)
+    assert certificate_to_json(report) == certificate_to_json(found)
+    assert len(listings) == len(checker.targets) > 0
+
+
+@pytest.mark.parametrize("condition, text", SHARED)
+def test_each_divisor_is_formatted_once_and_only_for_output(monkeypatch, condition, text):
+    formatted = []
+    format_ = IntPoly._format
+    monkeypatch.setattr(IntPoly, "_format", lambda self: formatted.append(self) or format_(self))
+    reports = [check_condition(parse_curve(text), condition, t0) for t0 in SHARED_T0S]
+    assert formatted == []  # listing and evaluating write no text
+    for report in reports:
+        assert replay_certificate(certificate_to_json(report))[0]
+        report.summary()
+    divisors = {id(c.divisor): c.divisor for report in reports for c in report.checks}
+    times = collections.Counter(id(p) for p in formatted)
+    assert len(divisors) > 1
+    assert all(times[key] == 1 for key in divisors)
+
+
+def test_the_preparation_memo_is_small_and_keeps_no_error():
+    assert conditions._prepare.cache_info().maxsize == conditions._PREPARED_MAX == 8
+    split = parse_curve("y^2 = x^3 - t^2*x")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="the cubic splits"):
+            check_condition(split, "scriptA", 2)
+    with pytest.raises(ValueError, match=r"^unknown condition \['A'\]"):
+        check_condition(split, ["A"], 2)  # a name that does not hash
+    assert conditions._prepare.cache_info().currsize == 0
+    for n in range(conditions._PREPARED_MAX + 2):
+        check_condition(parse_curve(f"e=(0, t, t+{n + 1})"), "A", 2)
+    assert conditions._prepare.cache_info().currsize == conditions._PREPARED_MAX
+
+
+def test_the_split_roots_in_order_are_part_of_the_key():
+    first, second = parse_curve("e=(0, t, 7*t+1)"), parse_curve("e=(t, 0, 7*t+1)")
+    assert first == second
+    warm = [certificate_to_json(check_condition(c, "A", 2)) for c in (first, second)]
+    assert warm[0] != warm[1]
+    conditions._prepare.cache_clear()
+    assert certificate_to_json(check_condition(second, "A", 2)) == warm[1]
+    # the same cubic given by its coefficients has no split roots for A
+    A, B, C = first.coeff_polys()
+    with pytest.raises(ValueError, match="no recorded split roots"):
+        check_condition(Curve(A, B, C), "A", 2)

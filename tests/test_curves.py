@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ellspec import ratfunc
-from ellspec.curves import Curve, O, OffCurveError, Point, SingularCurveError
-from ellspec.intpoly import IntPoly
+from ellspec.curves import Curve, O, OffCurveError, Point, SingularCurveError, _qt_cubic_roots
+from ellspec.intpoly import IntPoly, cubic_discriminant
 from ellspec.parsing import parse_curve
 from ellspec.ratfunc import RatFunc
 from samples import (
@@ -310,6 +311,51 @@ def test_disc_cubic_matches_the_field_formula():
     curves.append(Curve.from_roots(RatFunc(0), 1 / t, t))  # polynomial denominator
     for curve in curves:
         assert curve.disc_cubic == _field_discriminant(curve), curve
+
+
+def _product_scaled(curve):
+    """(disc_cubic, 2-torsion x-coordinates) from the model that scales x
+    by the product d of the denominators of A, B and C."""
+    d = curve.A.den * curve.B.den * curve.C.den
+    model = [(f * d**k).as_poly() for k, f in ((1, curve.A), (2, curve.B), (3, curve.C))]
+    return RatFunc(cubic_discriminant(*model), d**6), [RatFunc(X, d) for X in _qt_cubic_roots(*model)]
+
+
+def test_the_lcm_model_agrees_with_the_product_scaled_one():
+    rng = random.Random(3131)
+
+    def poly(degree):
+        return IntPoly([rng.randint(-3, 3) for _ in range(degree + 1)])
+
+    curves = []
+    while len(curves) < 30:
+        common = poly(1)
+        build = rng.choice([Curve.from_roots, lambda a, b, _: Curve(a, b, 0), Curve])
+        try:
+            curves.append(build(*(RatFunc(poly(2), common * poly(1)) for _ in range(3))))
+        except (ValueError, ZeroDivisionError):  # a zero denominator or a singular model
+            continue
+    lcm_smaller = 0
+    for curve in curves:
+        disc, roots = _product_scaled(curve)
+        assert curve.disc_cubic == disc, curve
+        points = curve.two_torsion()
+        assert len(points) == len(roots) + 1
+        assert {P.x for P in points[1:]} == set(roots)
+        lcm_smaller += curve._model_den.degree < (curve.A.den * curve.B.den * curve.C.den).degree
+    assert lcm_smaller >= 10
+
+
+def test_a_curve_over_large_shared_denominators_parses_quickly():
+    """A, B and C have denominators of degrees 1000, 1000 and 999.  Their
+    lcm, of degree 1000, scales x; their product, of degree 2999, made the
+    discriminant's reduction take seconds."""
+    start = time.perf_counter()
+    curve = parse_curve("e=(-t, -t/t^999/(t^2-6), -7)")
+    assert time.perf_counter() - start < 0.5
+    e1, e2, e3 = curve.split_roots
+    assert curve.disc_cubic == ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
+    assert (curve.disc_cubic.num.degree, curve.disc_cubic.den.degree) == (4004, 4000)
 
 
 def test_a_denominator_keeps_the_z_t_accessors_closed():

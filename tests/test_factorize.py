@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellspec import factorize
+from ellspec import conditions, factorize
 from ellspec.conditions import certificate_to_json, check_condition, replay_certificate
 from ellspec.factorize import _gf_mul, _gf_pow_mod, _gf_rem, factor, rational_roots
 from ellspec.intpoly import IntPoly
@@ -173,8 +173,9 @@ def test_an_in_process_replay_factors_nothing_again(monkeypatch, condition, text
     matches, _ = replay_certificate(certificate_to_json(report))
     assert matches
     assert calls == []
-    # the counters see a check that factors: the one after an emptied memo
+    # the counters see a check that factors: the one after emptied memos
     factorize.factor.cache_clear()
+    conditions._prepare.cache_clear()
     check_condition(parse_curve(text), condition, t0)
     assert {"_zassenhaus", "squarefree_decompose"} <= set(calls)
 

@@ -18,8 +18,9 @@ test.  In parsing, only _tokenize reads the raw text: no other function
 slices it with string methods or re.  The package has one schoolbook
 product loop, intpoly._mul_coeffs, one trailing-zero loop,
 intpoly._trim, one square-and-multiply loop, intpoly._power, and one
-Horner loop, intpoly._horner_homogeneous.  It holds one memo, the
-lru_cache on factorize.factor.
+Horner loop, intpoly._horner_homogeneous.  It holds two memos, the
+lru_cache on factorize.factor and the one on conditions._prepare, which
+keeps the Checkers that check_condition and find_t0 share.
 
 No linter is installed alongside the package, so these scans are the
 guard against dead imports and dead code.  An imported name
@@ -884,9 +885,9 @@ def _memos(program: dict[str, ast.Module]) -> list[str]:
     return found
 
 
-def test_the_only_memo_is_the_one_on_factor():
+def test_the_only_memos_are_on_factor_and_the_prepared_checkers():
     program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
-    assert _memos(program) == ["factorize.factor"]
+    assert _memos(program) == ["conditions._prepare", "factorize.factor"]
 
 
 def test_the_memo_scan_flags_every_memo_but_spares_cached_property():

@@ -195,7 +195,8 @@ def test_two_torsion_curves_fail_the_cubic_test_everywhere():
 
 def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
     """A1B asks Curve.two_torsion once per search and never in a report;
-    scriptA asks it once per Checker, for its one-torsion hypothesis."""
+    scriptA asks it once per Checker, for its one-torsion hypothesis, and
+    the replays and later checks of one curve share that Checker."""
     calls = []
     two_torsion = Curve.two_torsion
     monkeypatch.setattr(Curve, "two_torsion", lambda self: calls.append(self) or two_torsion(self))
@@ -209,13 +210,15 @@ def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
     for text, condition, per_checker in [("y^2 = x^3 + t*x^2 + x + t", "A1B", 0),
                                          ("y^2 = x^3 - x + t^2", "A1B", 0),
                                          ("y^2 = x^3 + t^2*x^2 - x", "scriptA", 1)]:
+        calls.clear()
         for t0 in (0, 2, Fraction(-3, 5)):
-            calls.clear()
             report = check_condition(parse_curve(text), condition, t0)
             assert len(calls) == per_checker
             matches, _ = replay_certificate(certificate_to_json(report))
             assert matches
-            assert len(calls) == 2 * per_checker
+            assert len(calls) == per_checker
+        Checker(parse_curve(text), condition)
+        assert len(calls) == 2 * per_checker
 
 
 def test_a_returned_report_that_fails_is_an_invariant_error(monkeypatch):
