@@ -207,10 +207,10 @@ class Checker:
     that one listing for its report.  passes(t0) decides the same verdict
     from the factors alone and lists nothing.  Constant targets are dropped.
 
-    A Checker built directly is its caller's own.  check_condition and
-    find_t0, and so replay and mestre, share one per (condition, curve,
-    split roots in order) through a memo of the _PREPARED_MAX most recently
-    used."""
+    A Checker built directly, as find_t0 builds one, is its caller's own.
+    check_condition, and so replay and mestre, share one per (condition,
+    curve, split roots in order) through a memo of the _PREPARED_MAX most
+    recently used."""
 
     def __init__(self, curve: Curve, condition: str):
         _require_known(condition)
@@ -384,15 +384,15 @@ def find_t0(
     criterion; raises BudgetExhausted when none is found in budget.
 
     Each candidate is decided by Checker.passes, and the full report of
-    Checker.check is built once, for the t0 returned, by the shared Checker
-    that check_condition uses, so it is the same report and certificate."""
-    checker = _prepared(curve, condition)
+    Checker.check is built once, for the t0 returned, so it is the same
+    report and certificate that check_condition gives at that t0.  The
+    search builds its own Checker and leaves the shared ones alone."""
+    checker = Checker(curve, condition)
     for t0 in t0_candidates(budget):
         if checker.passes(t0):
             report = checker.check(t0)
             if not report.passed:
                 raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
-            report.curve = curve
             return report
     raise BudgetExhausted(
         f"no t0 passing condition {condition} within {budget} (not a disproof)"

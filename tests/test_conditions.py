@@ -538,9 +538,9 @@ def test_divisor_values_are_divisors_at_t0(kind):
 
 # -- one preparation per curve and criterion -----------------------------------
 #
-# check_condition and find_t0, and through them replay and mestre, share the
-# Checker of a (condition, curve, split roots in order): its factored
-# targets, its one divisor listing and each divisor's text.
+# check_condition, and through it replay and mestre, share the Checker of a
+# (condition, curve, split roots in order): its factored targets, its one
+# divisor listing and each divisor's text.  find_t0 builds its own.
 
 SHARED = [("A", "e=(0, t, 7*t+1)"), ("Aprime", "e=(0, t, 7*t+1)"),
           ("scriptA", "y^2 = x^3 + t^2*x^2 - x"), ("A1B", "y^2 = x^3 + (t^2 + 1)*x + t")]
@@ -586,15 +586,16 @@ def test_a_shared_checker_lists_once_for_every_t0(monkeypatch, condition, text):
 
 
 @pytest.mark.parametrize("condition, text", SHARED)
-def test_a_search_and_a_check_at_its_t0_list_once(monkeypatch, condition, text):
+def test_a_search_leaves_the_shared_checkers_alone(monkeypatch, condition, text):
     listings = _count_listings(monkeypatch)
-    checker = conditions._prepared(parse_curve(text), condition)
     curve = parse_curve(text)
     found = find_t0(curve, condition, SearchBudget(30, 6))
-    assert found.curve is curve and checker.curve is not curve
+    assert found.curve is curve
+    assert conditions._prepare.cache_info().currsize == 0
+    searched = len(listings)
     report = check_condition(parse_curve(text), condition, found.t0)
     assert certificate_to_json(report) == certificate_to_json(found)
-    assert len(listings) == len(checker.targets) > 0
+    assert searched == len(listings) - searched > 0  # the search's own Checker listed once
 
 
 @pytest.mark.parametrize("condition, text", SHARED)

@@ -353,6 +353,7 @@ def test_a_curve_over_large_shared_denominators_parses_quickly():
     start = time.perf_counter()
     curve = parse_curve("e=(-t, -t/t^999/(t^2-6), -7)")
     assert time.perf_counter() - start < 0.5
+    assert curve._model_den.degree == 1000
     e1, e2, e3 = curve.split_roots
     assert curve.disc_cubic == ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
     assert (curve.disc_cubic.num.degree, curve.disc_cubic.den.degree) == (4004, 4000)
