@@ -104,7 +104,9 @@ class ConditionReport:
 
 
 class BudgetExhausted(RuntimeError):
-    """Search budget ran out; not a disproof, passers are merely further out."""
+    """Search budget ran out; not a disproof, passers are merely further out.
+    For A1B on a cubic with a root in Q(t) the exhaustion is certain at any
+    budget and is raised before any factoring, with the same message."""
 
 
 @dataclass(frozen=True)
@@ -207,10 +209,10 @@ class Checker:
     that one listing for its report.  passes(t0) decides the same verdict
     from the factors alone and lists nothing.  Constant targets are dropped.
 
-    A Checker built directly, as find_t0 builds one, is its caller's own.
-    check_condition, and so replay and mestre, share one per (condition,
-    curve, split roots in order) through a memo of the _PREPARED_MAX most
-    recently used."""
+    A Checker built directly, as find_t0 and mestre build one, is its
+    caller's own.  check_condition, and replay through it, share one per
+    (condition, curve, split roots in order) through a memo of the
+    _PREPARED_MAX most recently used."""
 
     def __init__(self, curve: Curve, condition: str):
         _require_known(condition)
@@ -288,11 +290,8 @@ class Checker:
         independent in Q*/Q*^2 modulo the span W of -1 and the primes of
         its content.  W comes from the product of the listed content primes
         by gcds alone, so a composite listed as a prime cannot make a target
-        pass.  A1B also fails at every t0 when its cubic has a root in Q(t),
-        which is found once per Checker, on the first call."""
+        pass."""
         t0 = as_rational(t0)
-        if self.condition == "A1B" and self._cubic_has_qt_root:
-            return False
         n, m = t0.numerator, t0.denominator
         if _horner_homogeneous(self.discriminant.coeffs, n, m) == 0:
             return False
@@ -315,12 +314,6 @@ class Checker:
     def _listing(self) -> list[list[tuple[IntPoly, int, tuple[int, ...]]]]:
         """_divisor_products of each target, listed on the first check."""
         return [_divisor_products(factors, primes) for _, factors, primes in self.targets]
-
-    @cached_property
-    def _cubic_has_qt_root(self) -> bool:
-        """Whether x^3 + A x^2 + B x + C has a root in Q(t).  Such a root r
-        lies in Z[t], so r(t0) is a rational root of every specialized cubic."""
-        return len(self.curve.two_torsion()) > 1
 
     def _specialized_cubic_roots(self, t0: Fraction) -> list[Fraction]:
         A, B, C = self.model
@@ -375,6 +368,14 @@ def t0_candidates(budget: SearchBudget = SearchBudget()) -> Iterator[Fraction]:
                 yield Fraction(-n, d)
 
 
+def _cubic_has_qt_root(curve: Curve) -> bool:
+    """Whether the cubic of curve, a model over Z[t], has a root in Q(t).
+    Such a root r lies in Z[t], so r(t0) is a rational root of every
+    specialized cubic.  Any other model raises the ValueError of coeff_polys."""
+    curve.coeff_polys()
+    return len(curve.two_torsion()) > 1
+
+
 def find_t0(
     curve: Curve,
     condition: str,
@@ -386,14 +387,19 @@ def find_t0(
     Each candidate is decided by Checker.passes, and the full report of
     Checker.check is built once, for the t0 returned, so it is the same
     report and certificate that check_condition gives at that t0.  The
-    search builds its own Checker and leaves the shared ones alone."""
-    checker = Checker(curve, condition)
-    for t0 in t0_candidates(budget):
-        if checker.passes(t0):
-            report = checker.check(t0)
-            if not report.passed:
-                raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
-            return report
+    search builds its own Checker and leaves the shared ones alone.
+
+    A1B on a cubic with a root in Q(t) fails at every t0, so its search
+    raises BudgetExhausted at any budget, before anything is factored and
+    with no candidate tried; the message is that of any exhausted search."""
+    if condition != "A1B" or not _cubic_has_qt_root(curve):
+        checker = Checker(curve, condition)
+        for t0 in t0_candidates(budget):
+            if checker.passes(t0):
+                report = checker.check(t0)
+                if not report.passed:
+                    raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
+                return report
     raise BudgetExhausted(
         f"no t0 passing condition {condition} within {budget} (not a disproof)"
     )

@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .conditions import (
+    Checker,
     ConditionReport,
     _certificate_doc,
-    check_condition,
 )
 from .curves import Curve, OffCurveError, Point
 from .intmath import InvariantError, as_rational, factor_int
@@ -162,19 +162,21 @@ def injectivity_report(instance: MestreInstance, t0) -> ConditionReport:
     the model is shifted to y^2 = x^3 + 3rg x^2 + (3r^2+a)g^2 x and the
     certifying one-torsion criterion applies, or the split criterion when
     all three roots are rational; otherwise only the non-certifying
-    discriminant diagnostic is available.
+    discriminant diagnostic is available.  The report comes from a
+    Checker of its own, as in find_t0, and leaves check_condition's shared
+    ones alone: no caller checks a Mestre curve twice in one process.
     """
     a, g = instance.a, instance.g
     roots = [int(P.x) for P in Curve(0, a, instance.b).two_torsion()[1:]]
     if not roots:
-        return check_condition(instance.curve, "A1B", t0)
+        return Checker(instance.curve, "A1B").check(t0)
     r = roots[0]
     if len(roots) == 3:
         e2, e3 = ((s - r) * g for s in (roots[2], roots[1]))
         split = Curve.from_roots(0, e2, e3)
-        return check_condition(split, "A", t0)
+        return Checker(split, "A").check(t0)
     shifted = Curve(3 * r * g, (3 * r * r + a) * g * g, 0)
-    return check_condition(shifted, "scriptA", t0)
+    return Checker(shifted, "scriptA").check(t0)
 
 
 @dataclass

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ellspec
+from ellspec import cli, conditions, factorize
 from ellspec.cli import main
 
 
@@ -172,6 +173,20 @@ def test_find_t0_budget_exhausted(capsys):
         "--budget", "1", "--rat-height", "1",
     )
     assert code == 1 and "no t0" in err
+
+
+def test_find_t0_a1b_on_a_root_in_qt_exits_1_without_factoring(capsys, monkeypatch):
+    calls = []
+    factor = factorize.factor
+    for module in (factorize, conditions, cli):
+        monkeypatch.setattr(module, "factor", lambda p: calls.append(p) or factor(p))
+    code, out, err = run(
+        capsys, "find-t0", "--condition", "A1B",
+        "--curve", "y^2 = x^3 + t*x^2 + x + t",  # the root -t
+    )
+    assert (code, out, calls) == (1, "", [])
+    assert err == ("no t0 found: no t0 passing condition A1B within "
+                   "SearchBudget(int_bound=10000, rat_height=100) (not a disproof)\n")
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--rat-height"])

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ellspec import mestre
+from ellspec import conditions, mestre
+from ellspec.conditions import certificate_to_json, check_condition
 from ellspec.curves import Curve, O, Point
 from ellspec.factorize import factor
 from ellspec.intpoly import IntPoly, squarefree_decompose
@@ -195,6 +196,17 @@ def test_injectivity_report_without_rational_root():
     inst = mestre.build(1, 1)
     rep = mestre.injectivity_report(inst, 5)
     assert not rep.certifying
+
+
+@pytest.mark.parametrize("a,b,t0,condition", [(2, 12, 4, "scriptA"), (-7, 6, 3, "A"),
+                                                (1, 1, 5, "A1B")])
+def test_injectivity_report_builds_its_own_checker(a, b, t0, condition):
+    rep = mestre.injectivity_report(mestre.build(a, b), t0)
+    assert rep.condition == condition
+    assert conditions._prepare.cache_info().currsize == 0
+    assert certificate_to_json(rep) == certificate_to_json(
+        check_condition(rep.curve, condition, t0)
+    )
 
 
 def test_generator_certificate_certified():

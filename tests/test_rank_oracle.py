@@ -18,11 +18,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ellspec import intmath
+from ellspec import conditions, factorize, intmath
 from ellspec.conditions import (
     BudgetExhausted,
     Checker,
     SearchBudget,
+    _cubic_has_qt_root,
     certificate_to_json,
     check_condition,
     find_t0,
@@ -185,12 +186,75 @@ def test_two_torsion_curves_fail_the_cubic_test_everywhere():
     t0s = list(t0_candidates(SearchBudget(6, 3)))
     for seed in range(6):
         checker = _checker("two_torsion", "A1B", seed)
-        assert checker._cubic_has_qt_root
+        assert _cubic_has_qt_root(checker.curve)
         for t0 in t0s:
             report = checker.check(t0)
             assert report.discriminant_value == 0 or report.subresults["B"] is False
         with pytest.raises(BudgetExhausted):
             find_t0(checker.curve, "A1B", SearchBudget(6, 3))
+
+
+def _watch_a_search(monkeypatch) -> dict[str, list]:
+    """Record every factor call, Checker.passes call, candidate drawn and
+    Curve.two_torsion call from here on."""
+    calls = {"factor": [], "passes": [], "t0 drawn": [], "two_torsion": []}
+    factor, passes, candidates, two_torsion = (
+        factorize.factor, Checker.passes, t0_candidates, Curve.two_torsion)
+
+    def drawn(budget):
+        for t0 in candidates(budget):
+            calls["t0 drawn"].append(t0)
+            yield t0
+
+    counted_factor = lambda p: calls["factor"].append(p) or factor(p)
+    monkeypatch.setattr(factorize, "factor", counted_factor)
+    monkeypatch.setattr(conditions, "factor", counted_factor)
+    monkeypatch.setattr(Checker, "passes",
+                        lambda self, t0: calls["passes"].append(t0) or passes(self, t0))
+    monkeypatch.setattr(conditions, "t0_candidates", drawn)
+    monkeypatch.setattr(Curve, "two_torsion",
+                        lambda self: calls["two_torsion"].append(self) or two_torsion(self))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a1b_on_a_root_in_qt_exhausts_before_it_factors(monkeypatch, seed):
+    curve = _checker("two_torsion", "A1B", seed).curve
+    expected = {budget: _reference_search(curve, "A1B", budget) for budget in BUDGETS}
+    calls = _watch_a_search(monkeypatch)
+    for budget in BUDGETS:
+        factor.cache_clear()
+        for seen in calls.values():
+            seen.clear()
+        with pytest.raises(BudgetExhausted) as exc:
+            find_t0(curve, "A1B", budget)
+        assert str(exc.value) == expected[budget]
+        assert calls == {"factor": [], "passes": [], "t0 drawn": [], "two_torsion": [curve]}
+
+
+def test_a_bad_condition_or_model_still_raises_its_value_error_first(monkeypatch):
+    root_0_off_z_t = parse_curve("A=t/2; B=t; C=0")
+    root_1_over_q = Curve(0, -1, 0)
+    errors = {}
+    for curve in (root_0_off_z_t, root_1_over_q):
+        with pytest.raises(ValueError) as exc:
+            Checker(curve, "A1B")
+        errors[curve] = str(exc.value)
+    assert errors[root_0_off_z_t] == (
+        "coefficients of y^2 = x^3 + ((t) / (2))*x^2 + (t)*x + (0) are not all in Z[t]")
+    assert errors[root_1_over_q] == "curve is not defined over Q(t)"
+    calls = _watch_a_search(monkeypatch)
+    for curve in (root_0_off_z_t, root_1_over_q):
+        for budget in BUDGETS:
+            with pytest.raises(ValueError) as exc:
+                find_t0(curve, "A1B", budget)
+            assert type(exc.value) is ValueError and str(exc.value) == errors[curve]
+            # an unknown condition comes before the model
+            with pytest.raises(ValueError) as exc:
+                find_t0(curve, "a1b", budget)
+            assert str(exc.value) == ("unknown condition 'a1b'; "
+                                      "choose from ('A', 'Aprime', 'scriptA', 'A1B')")
+    assert calls["factor"] == calls["passes"] == calls["t0 drawn"] == []
 
 
 def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
