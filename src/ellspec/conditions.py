@@ -98,8 +98,8 @@ class ConditionReport:
         out = f"condition {self.condition} at t0={self.t0}: {verdict}"
         if not self.passed and self.witnesses:
             w = self.witnesses[0]
-            value = rational_text(w.value, "divisor value at t0")
-            out += f" (witness h={w.divisor}, h(t0)={value}=({w.square_root})^2)"
+            h, value = rational_text(w.divisor, "divisor"), rational_text(w.value, "divisor value at t0")
+            out += f" (witness h={h}, h(t0)={value}=({w.square_root})^2)"
         return out
 
 
@@ -416,10 +416,9 @@ _FIELDS = frozenset({"schema", "condition", "curve", "t0", "passed", "certifying
 
 
 def _curve_to_json(curve: Curve) -> dict:
-    A, B, C = curve.coeff_polys()
-    out = {"A": str(A), "B": str(B), "C": str(C)}
+    out = {k: rational_text(f, k) for k, f in zip("ABC", curve.coeff_polys())}
     if curve.split_roots is not None:
-        out["split_roots"] = [str(e) for e in curve.split_root_polys()]
+        out["split_roots"] = [rational_text(e, f"e{i}") for i, e in enumerate(curve.split_root_polys(), 1)]
     return out
 
 
@@ -435,7 +434,7 @@ def _certificate_doc(report: ConditionReport) -> dict:
         "checks": [
             {
                 "target": c.target,
-                "divisor": str(c.divisor),
+                "divisor": rational_text(c.divisor, "divisor"),
                 "value": rational_text(c.value, "divisor value at t0"),
                 "square": c.is_square,
                 # fewer digits than the value, so within the limit

@@ -294,10 +294,34 @@ def _power(base, e: int, one, mul=operator.mul):
 
 def cubic_discriminant(A, B, C):
     """Discriminant of x^3 + A x^2 + B x + C, computed in the ring of
-    A, B and C: an IntPoly for coefficients in Z[t], a Fraction for
+    A, B and C: an IntPoly when one of them is an IntPoly and the others
+    IntPolys or ints, otherwise in their own ring, a Fraction for
     coefficients in Q.  It is 18ABC - 4A^3C + A^2B^2 - 4B^3 - 27C^2,
     grouped as B^2 (A^2 - 4B) + C (18AB - 4A^3 - 27C) so that A^2 is
-    formed once: ten products instead of fifteen."""
+    formed once: ten products instead of fifteen.
+
+    Over Z[t] the ten products are products of integers, by Kronecker
+    substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
+    8.4).  With a, b and c the 1-norms of A, B and C, every coefficient
+    of the discriminant is at most beta = 18abc + 4a^3c + a^2b^2 + 4b^3 +
+    27c^2 in absolute value, since the 1-norm is subadditive and
+    submultiplicative.  A, B and C are evaluated once at X = 2^k > 2 beta,
+    and the integer discriminant of the three values is the discriminant's
+    value at X.  Its coefficients lie in (-X/2, X/2), so they are the
+    balanced base-X digits of that value, which are unique: the result is
+    exact."""
+    args = (A, B, C)
+    if not (any(isinstance(f, IntPoly) for f in args) and all(isinstance(f, (IntPoly, int)) for f in args)):
+        return _discriminant(A, B, C)
+    cs = [IntPoly.coerce(f)._c for f in args]
+    a, b, c = (sum(map(abs, f)) for f in cs)
+    beta = 18 * a * b * c + 4 * a**3 * c + a * a * b * b + 4 * b**3 + 27 * c * c
+    X = 1 << beta.bit_length() + 1
+    return _from_balanced_digits(_discriminant(*(_horner_homogeneous(f, X, 1) for f in cs)), X)
+
+
+def _discriminant(A, B, C):
+    """The discriminant formula of cubic_discriminant, in the ring of A, B and C."""
     AA = A * A
     return B * B * (AA - 4 * B) + C * (18 * A * B - 4 * AA * A - 27 * C)
 
@@ -399,12 +423,19 @@ def _horner_homogeneous(coeffs: tuple[int, ...], n: int, m: int) -> int:
 def _from_balanced_digits(n: int, base: int) -> IntPoly:
     """The polynomial whose coefficients are the balanced base-`base`
     digits of n (each in (-base/2, base/2]), so that its value at `base`
-    is n."""
+    is n.  A power of two as base takes masks and shifts for divmod."""
     shift = base - 1 - base // 2  # a digit is a remainder less the shift
     digits = []
-    while n:
-        n, d = divmod(n + shift, base)
-        digits.append(d - shift)
+    if base & (base - 1):
+        while n:
+            n, d = divmod(n + shift, base)
+            digits.append(d - shift)
+    else:
+        mask, k = base - 1, base.bit_length() - 1
+        while n:
+            n += shift
+            digits.append((n & mask) - shift)
+            n >>= k
     return IntPoly._trusted(tuple(digits))  # the top digit is n's last, nonzero
 
 

@@ -9,7 +9,10 @@ Grammar (also used by the printers, so parse-print-parse is a fixpoint):
 
 A value is a polynomial in x.  Until a '/' touches it, its coefficients
 are Z[t] elements held as plain lists of ints, and each output coefficient
-becomes one RatFunc n/1, which takes no gcd.  From the first '/' on, the
+becomes one RatFunc n/1, which takes no gcd.  Two such values multiply as
+one product of int lists, packed by x -> t^s; a product by an integer
+scales the other value's coefficients instead, and a power t^k or x^k of
+the bare variable is the monomial itself.  From the first '/' on, the
 value and every value it meets are lists of RatFunc coefficients, whose
 sums and products cancel small gcds as they go (Henrici), so a long sum of
 fractions takes no large gcd.  Division is only allowed by x-free
@@ -18,6 +21,8 @@ t or x would exceed MAX_DEGREE is rejected before it is computed, and so
 are parentheses nested deeper than MAX_NESTING.  Each operand is counted over
 the lcm of its coefficients' denominators, and a sum adds to each one's
 degree that of the other's lcm, so every coefficient computed is bounded.
+A sum of two int-list values needs no check: its degree is at most its
+operands', which were bounded when they were built.
 Each input is read as one token stream, so every error offset indexes the
 whole text.  Curves accept three forms: "e=(p1,p2,p3)" (split model),
 "A=...; B=...; C=..." with each key once, and "y^2 = x^3 + ...".
@@ -54,19 +59,20 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """The one reader of the raw text: (kind, value, offset) per token, then
     'end'.  ASCII only; a digit run over Python's int conversion limit is an error."""
     tokens = []
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(text, pos)
+    for m in _TOKEN_RE.finditer(text):  # every match starts where the last ended
         kind = m.lastgroup
         if kind is None:
-            tokens.append(("end", None, len(text)))
-            return tokens
+            break
+        value = m[kind]
         if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        if kind == "int" and 0 < (limit := sys.get_int_max_str_digits()) < len(m[kind]):
-            raise ParseError(f"integer longer than {limit} digits", m.start(kind))
-        tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start(kind)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {value!r}", m.start(kind))
+        if kind == "int":
+            if 0 < (limit := sys.get_int_max_str_digits()) < len(value):
+                raise ParseError(f"integer longer than {limit} digits", m.start(kind))
+            value = int(value)
+        tokens.append((kind, value, m.start(kind)))
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 _ZERO_Q, _ONE_Q = RatFunc(0), RatFunc(1)
@@ -122,6 +128,11 @@ def _add(a, b):
 
 def _mul(a, b):
     if not (_over_q(a) or _over_q(b)):
+        if len(b) == 1 == len(b[0]):
+            a, b = b, a
+        if len(a) == 1 == len(a[0]):  # an integer times b: no packing
+            k = a[0][0]
+            return [[k * c for c in n] for n in b]
         return _mul_x(a, b)
     return _mul_coeffs(_qt(a), _qt(b), _ZERO_Q) if a and b else []
 
@@ -184,8 +195,10 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                (da, ea), (db, eb) = _degrees(value), _degrees(rhs)
-                _check_degree(max(da + eb, db + ea), pos)
+                # a sum of Z[t] lists has no degree above its operands', which were bounded
+                if _over_q(value) or _over_q(rhs):
+                    (da, ea), (db, eb) = _degrees(value), _degrees(rhs)
+                    _check_degree(max(da + eb, db + ea), pos)
                 value = _add(value, rhs if op == "+" else _neg(rhs))
             else:
                 return value
@@ -214,6 +227,7 @@ class _Parser:
         negate = False
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             negate ^= self.advance()[1] == "-"
+        variable = self.peek()[0] == "name"
         base = self.parse_base()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
@@ -225,7 +239,12 @@ class _Parser:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", pos)
             _check_degree(exp * _degrees(base)[0], pos)
             self.advance()
-            base = _power(base, exp, [[1]], _mul)
+            if not variable:
+                base = _power(base, exp, [[1]], _mul)
+            elif base == [[0, 1]]:  # t^exp
+                base = [[0] * exp + [1]]
+            else:  # x^exp
+                base = [[]] * exp + [[1]]
         return _neg(base) if negate else base
 
     def parse_base(self):

@@ -542,16 +542,18 @@ _SQUARED = ("--curve", "y^2 = x^3 + t^2*x^2 - x")
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (("specialize", *_SQUARED, "--point", "O", "--t0", _WIDE_T0), "A"),
-        (("specialize", "--json", *_SQUARED, "--point", "O", "--t0", _WIDE_T0), "A"),
-        (("check", "--json", "--condition", "scriptA", *_SQUARED, "--t0", _WIDE_T0), "discriminant"),
+        (("specialize", *_SQUARED, "--point", "O", "--t0", _WIDE_T0), "A at t0"),
+        (("specialize", "--json", *_SQUARED, "--point", "O", "--t0", _WIDE_T0), "A at t0"),
+        (("check", "--json", "--condition", "scriptA", *_SQUARED, "--t0", _WIDE_T0), "discriminant at t0"),
+        # A = 2^20000 has 6,021 digits; the certificate prints it, the text mode does not
+        (("check", "--json", "--condition", "A1B", "--curve", "A=(2^1000)^20; B=1; C=1", "--t0", "2"), "A"),
     ],
-    ids=["specialize", "specialize --json", "check --json"],
+    ids=["specialize", "specialize --json", "check --json", "check --json, the curve"],
 )
 def test_an_output_over_the_int_limit_exits_2_naming_the_value(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {name} at t0: integer longer than {_LIMIT} digits\n"
+    assert err == f"error: {name}: integer longer than {_LIMIT} digits\n"
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])

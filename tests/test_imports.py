@@ -17,8 +17,10 @@ rational 2-torsion; conditions may read _q_cubic_roots for A1B's per-t0
 test.  In parsing, only _tokenize reads the raw text: no other function
 slices it with string methods or re.  The package has one schoolbook
 product loop, intpoly._mul_coeffs, one trailing-zero loop,
-intpoly._trim, one square-and-multiply loop, intpoly._power, and one
-Horner loop, intpoly._horner_homogeneous.  It holds two memos, the
+intpoly._trim, one square-and-multiply loop, intpoly._power, one
+Horner loop, intpoly._horner_homogeneous, and one balanced-digit loop,
+intpoly._from_balanced_digits, which GCDHEU, the 2-torsion
+reconstruction and the discriminant share.  It holds two memos, the
 lru_cache on factorize.factor and the one on conditions._prepare, which
 keeps the Checkers that check_condition and find_t0 share.
 
@@ -783,6 +785,90 @@ def test_the_horner_scan_flags_copied_horner_loops():
         "factorize._eval_at",
         "factorize._gf_eval",
         "parsing._Parser.number",
+    ]
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _is_digit_loop(node: ast.AST) -> bool:
+    """A loop that shrinks a name n (n //= b, n >>= k, n = (...n...) // b
+    or >> k, or n, d = divmod(...n..., b)) and appends a digit of it: a
+    name that divmod bound with n, or a remainder (% or &) of n."""
+    if not isinstance(node, (ast.For, ast.While)):
+        return False
+    body = [n for stmt in node.body for n in ast.walk(stmt)]
+    shrunk, quotient_digits = set(), {}
+    for n in body:
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call) and getattr(n.value.func, "id", None) == "divmod":
+            bound = _names(n.targets[0])
+            for name in bound & _names(n.value.args[0]):
+                shrunk.add(name)
+                quotient_digits[name] = bound - {name}
+        elif isinstance(n, ast.AugAssign) and isinstance(n.op, (ast.FloorDiv, ast.RShift)):
+            shrunk |= _names(n.target)
+        elif isinstance(n, ast.Assign) and isinstance(n.value, ast.BinOp) and isinstance(n.value.op, (ast.FloorDiv, ast.RShift)):
+            shrunk |= {t.id for t in n.targets if isinstance(t, ast.Name)} & _names(n.value.left)
+    appended = [a for n in body if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "append" for a in n.args]
+    return any(
+        quotient_digits.get(name, set()) & _names(arg)
+        or any(
+            isinstance(r, ast.BinOp) and isinstance(r.op, (ast.Mod, ast.BitAnd)) and name in _names(r.left)
+            for r in ast.walk(arg)
+        )
+        for name in shrunk
+        for arg in appended
+    )
+
+
+def test_one_balanced_digit_loop():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _kernel_loops(program, _is_digit_loop) == ["intpoly._from_balanced_digits"]
+
+
+def test_the_digit_scan_flags_copied_unpack_loops():
+    factorize = ast.parse(
+        "def _heu_digits(n, xi):\n"
+        "    out = []\n"
+        "    while n:\n"
+        "        n, d = divmod(n + xi // 2, xi)\n"
+        "        out.append(d - xi // 2)\n"
+        "    return out\n"
+        "def _trial(n, p, found):\n"
+        "    while n % p == 0:\n"
+        "        n //= p\n"
+        "        found.append(p)\n"
+    )
+    curves = ast.parse(
+        "def _unpack(n, k):\n"
+        "    cs = []\n"
+        "    while n:\n"
+        "        n += 1 << k - 1\n"
+        "        cs.append((n & (1 << k) - 1) - (1 << k - 1))\n"
+        "        n >>= k\n"
+        "    return cs\n"
+        "def _bits(e, out):\n"
+        "    while e:\n"
+        "        if e & 1:\n"
+        "            out = out * 2\n"
+        "        e >>= 1\n"
+        "    return out\n"
+    )
+    ratfunc = ast.parse(
+        "class _Packed:\n"
+        "    def digits(self, n, base, count):\n"
+        "        out = []\n"
+        "        for _ in range(count):\n"
+        "            out.append(n % base)\n"
+        "            n = n // base\n"
+        "        return out\n"
+    )
+    program = {"factorize": factorize, "curves": curves, "ratfunc": ratfunc}
+    assert _kernel_loops(program, _is_digit_loop) == [
+        "factorize._heu_digits",
+        "curves._unpack",
+        "ratfunc._Packed.digits",
     ]
 
 

@@ -11,6 +11,7 @@ from ellspec.intpoly import (
     poly_gcd,
     squarefree_decompose,
 )
+from ellspec.parsing import parse_curve
 
 T = IntPoly.monomial(1, 1)
 
@@ -141,6 +142,17 @@ def test_squarefree_decompose_recomposes(p):
     assert prod == p
 
 
+def _ten_products(A, B, C):
+    """The discriminant as ten products in the ring of A, B and C: the
+    reference that the single integer product over Z[t] must agree with."""
+    AA = A * A
+    return B * B * (AA - 4 * B) + C * (18 * A * B - 4 * AA * A - 27 * C)
+
+
+def _random_poly(rng, degree, bound, zeros=0.0):
+    return IntPoly([0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(degree + 1)])
+
+
 def test_cubic_discriminant_matches_definition():
     rng = random.Random(7)
     for _ in range(25):
@@ -150,6 +162,23 @@ def test_cubic_discriminant_matches_definition():
             18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
         )
         assert cubic_discriminant(A, B, C)(0) == expected
+    cases = [
+        # random, with zero coefficients and zero polynomials among them
+        *([_random_poly(rng, rng.randint(-1, 6), 9, zeros=0.4) for _ in range(3)] for _ in range(40)),
+        # degrees up to 60, coefficients up to 2^1000 of both signs
+        *([_random_poly(rng, rng.randint(0, 60), 2**rng.choice([1, 64, 1000])) for _ in range(3)] for _ in range(12)),
+        [_random_poly(rng, 1000, 9) for _ in range(3)],  # dense, degree 1000
+        list(parse_curve("e=(-t, -t/t^999/(t^2-6), -7)")._model),  # sparse, degrees 1001, 2001, 2001
+        [IntPoly(), IntPoly(), IntPoly()],
+        [IntPoly(), -3 * T**5, IntPoly()],  # 108*t^15: a coefficient at the bound beta itself
+        # ints among IntPolys
+        [3, T**2 - 1, 0],
+        [-(2**1000) * T, 0, 7],
+        [0, -T, 2**300],
+    ]
+    for A, B, C in cases:
+        D = cubic_discriminant(A, B, C)
+        assert isinstance(D, IntPoly) and D == _ten_products(A, B, C)
 
 
 def test_cubic_discriminant_matches_sympy():

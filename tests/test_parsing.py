@@ -71,6 +71,17 @@ def test_degree_limit():
         assert exc.value.position == position
     with pytest.raises(ParseError):
         parse_curve("y^2 = x^3 + x^1001")
+    # a power of t or x is checked before it is built, at the same offsets
+    for parse, text, message in [
+        (parse_poly, "t^1001", "exponent 1001 exceeds the limit 1000 at offset 2"),
+        (parse_poly, "t^1000*t", "degree 1001 exceeds the limit 1000 at offset 6"),
+        (parse_curve, "y^2 = x^3 + x^1000*x", "degree 1001 exceeds the limit 1000 at offset 18"),
+        (parse_poly, "x^3", "unexpected symbol 'x' at offset 0"),
+        (parse_curve, "A=x^2; B=1; C=1", "unexpected symbol 'x' at offset 2"),
+        (parse_curve, "e=(0, t, x^0)", "unexpected symbol 'x' at offset 9"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse(text)
 
 
 def test_sum_degree_limit():
@@ -131,17 +142,17 @@ def test_the_degree_limit_bounds_every_polynomial_computed(text):
     """With the limit lowered to 8, no polynomial in t that a parse builds,
     nor a degree in x, goes past it, whether the text parses or not."""
     built = []
-    trusted, init, mul_x = IntPoly._trusted.__func__, IntPoly.__init__, parsing._mul_x
+    trusted, init, mul = IntPoly._trusted.__func__, IntPoly.__init__, parsing._mul
 
-    def recorded_mul_x(f, g):
-        product = mul_x(f, g)
-        built.extend(len(n) - 1 for n in [product, *product])
+    def recorded_mul(f, g):  # packed or by an integer; RatFunc parts are recorded as IntPolys
+        product = mul(f, g)
+        built.extend(len(n) - 1 for n in [product, *product] if isinstance(n, list))
         return product
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parsing, "MAX_DEGREE", _SMALL_LIMIT)
         patch.setattr(parsing, "Curve", _RecordedCurve)
-        patch.setattr(parsing, "_mul_x", recorded_mul_x)
+        patch.setattr(parsing, "_mul", recorded_mul)
         patch.setattr(IntPoly, "_trusted", classmethod(lambda cls, c: built.append(len(c) - 1) or trusted(cls, c)))
         patch.setattr(IntPoly, "__init__", lambda p, c=(): init(p, c) or built.append(p.degree))
         try:
@@ -424,5 +435,24 @@ def test_print_parse_round_trip():
     for text in ("t^3 - 2*t + 5", "-4*t^2", "42*t^14 + t"):
         p = parse_poly(text)
         assert parse_poly(str(p)) == p
+    # a power of t and a product by an integer, built without a packed product
+    for text, expected in [
+        ("t^0", IntPoly.const(1)),
+        ("t^1", T),
+        ("t^1000", T**1000),
+        ("0*t^5", IntPoly()),
+        ("-(t^3)", -(T**3)),
+        ("2^3*t", 8 * T),
+        ("t^2*-5 + t^0*7", -5 * T**2 + 7),
+    ]:
+        p = parse_poly(text)
+        assert p == expected and parse_poly(str(p)) == p
+    for text, coeffs in [
+        ("y^2 = x^3 + 3*x^2*t^2 - x^0", (3 * t**2, 0, -1)),
+        ("y^2 = x^1*x^2 - t*x^1 + 2^3", (0, -t, 8)),
+    ]:
+        curve = parse_curve(text)
+        assert (curve.A, curve.B, curve.C) == tuple(map(RatFunc._coerce, coeffs))
+        assert parse_curve(str(curve)) == curve
     f = parse_ratfunc("(3*t+1)/(2*t^2-5)")
     assert parse_ratfunc(str(f)) == f

@@ -91,6 +91,11 @@ x_leaves = scalar_leaves | st.just(("leaf", "x"))
 @example(("div", ("sub", ("pow", ("leaf", "t"), 2), ("leaf", "1")), ("sub", ("leaf", "t"), ("leaf", "1"))))
 @example(("div", ("leaf", "1"), ("sub", ("leaf", "t"), ("leaf", "t"))))  # division by zero
 @example(("div", ("leaf", "0"), ("add", ("leaf", "t"), ("leaf", "1"))))  # zero over a nonconstant
+# powers of t and products by an integer
+@example(("add", ("pow", ("leaf", "t"), 0), ("pow", ("leaf", "t"), 1)))
+@example(("sub", ("pow", ("leaf", "t"), 1000), ("mul", ("leaf", "0"), ("pow", ("leaf", "t"), 5))))
+@example(("neg", ("pow", ("leaf", "t"), 3)))
+@example(("mul", ("pow", ("leaf", "2"), 3), ("leaf", "t")))
 def test_ratfunc_matches_sympy_cancel(tree):
     text, _ = render(tree)
     _, rejected = oracle(tree)
@@ -108,6 +113,11 @@ def test_ratfunc_matches_sympy_cancel(tree):
 @example(("mul", ("leaf", "x"), ("div", ("leaf", "t"), ("leaf", "2"))))
 @example(("div", ("leaf", "t"), ("leaf", "x")))  # division by an x-dependent value
 @example(("div", ("pow", ("leaf", "x"), 2), ("sub", ("leaf", "x"), ("leaf", "x"))))
+# powers of x and t and products by an integer
+@example(("add", ("mul", ("mul", ("leaf", "3"), ("pow", ("leaf", "x"), 2)), ("pow", ("leaf", "t"), 2)),
+          ("pow", ("leaf", "x"), 0)))
+@example(("pow", ("leaf", "x"), 3))
+@example(("sub", ("mul", ("leaf", "x"), ("pow", ("leaf", "t"), 0)), ("mul", ("leaf", "0"), ("pow", ("leaf", "x"), 2))))
 def test_curve_rhs_matches_sympy_cancel(tree):
     rest, _ = render(tree)
     text = f"y^2 = x^3 + {rest}"
