@@ -19,6 +19,7 @@ from .conditions import (
     BudgetExhausted,
     SearchBudget,
     _certificate_doc,
+    _json_text,
     certificate_to_json,
     check_condition,
     find_t0,
@@ -127,7 +128,7 @@ def _cmd_factor(args) -> int:
             "content": [[p, e] for p, e in fac.content_primes],
             "factors": [[str(g), e] for g, e in fac.poly_factors],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         parts = []
         if fac.unit == -1:
@@ -148,7 +149,7 @@ def _cmd_check(args) -> int:
         if args.json:
             out = _certificate_doc(fresh)
             out["replay_matches"] = matches
-            print(json.dumps(out, indent=2, sort_keys=True))
+            print(_json_text(out))
         else:
             print(f"replay: {'MATCHES' if matches else 'MISMATCH'}")
             print(fresh.summary())
@@ -195,7 +196,7 @@ def _cmd_specialize(args) -> int:
             "curve": {"A": A, "B": B, "C": C},
             "point": "O" if image.is_infinity else [image.x, image.y],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         print(f"curve at t0={t0}: A={A}, B={B}, C={C}")
         print(f"point image: {image}")
@@ -252,7 +253,7 @@ def _cmd_mestre(args) -> int:
         }
         if report is not None:
             doc["injectivity"] = _certificate_doc(report)
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         print(f"(a, b) = ({instance.a}, {instance.b}), scale u = {instance.scale}")
         print(f"g = {g}")

@@ -33,6 +33,7 @@ from .intmath import (
     InvariantError,
     _independent_mod_squares,
     as_rational,
+    exact_isqrt,
     is_square_rat,
     parse_rational,
     rational_text,
@@ -153,7 +154,8 @@ def _divisor_products(polys, primes) -> list[tuple[IntPoly, int, tuple[int, ...]
                     h = c * base
                     out.append((h, c, idx))
                     out.append((-h, -c, idx))
-    out.sort(key=lambda d: (d[0].degree, abs(d[0].lc), d[0].lc < 0, d[0].coeffs))
+    # by degree, |lc|, the sign of lc and the coefficients
+    out.sort(key=lambda d: (len(c := d[0].coeffs), abs(c[-1]), c[-1] < 0, c))
     return out
 
 
@@ -177,12 +179,17 @@ def _one_torsion_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
     A, B, C = curve.coeff_polys()
     if not C.is_zero:
         raise ValueError("model must be y^2 = x^3 + A x^2 + B x (C = 0)")
-    # (0, 0) is one 2-torsion point; the roots of x^2 + A x + B give the others
-    if len(curve.two_torsion()) != 2:
-        raise ValueError(
-            "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A"
-        )
     return [("B", (B,)), ("A^2-4B", (A * A - 4 * B,))]
+
+
+def _is_square_in_zt(p: IntPoly, facs: dict) -> bool:
+    """Whether p, nonzero, is a square in Z[t], and so in Q(t): a constant
+    by exact_isqrt, any other p by its factorization facs[p], when the unit
+    is 1 and every exponent is even."""
+    if p.is_constant:
+        return exact_isqrt(p.lc) is not None
+    fac = facs[p]
+    return fac.unit == 1 and all(e % 2 == 0 for _, e in fac.content_primes + fac.poly_factors)
 
 
 def _discriminant_targets(curve: Curve) -> list[tuple[str, tuple[IntPoly, ...]]]:
@@ -208,6 +215,10 @@ class Checker:
     check(t0) lists every divisor of self.targets, and each check evaluates
     that one listing for its report.  passes(t0) decides the same verdict
     from the factors alone and lists nothing.  Constant targets are dropped.
+    For scriptA the constructor refuses, with ValueError, a curve whose
+    A^2 - 4B is a square in Z[t], read from the factorization it holds, or
+    by exact_isqrt from a constant A^2 - 4B, which it does not factor; it
+    finds no 2-torsion point.
 
     A Checker built directly, as find_t0 and mestre build one, is its
     caller's own.  check_condition, and replay through it, share one per
@@ -216,9 +227,12 @@ class Checker:
 
     def __init__(self, curve: Curve, condition: str):
         _require_known(condition)
-        built = [tg for tg in _TARGET_BUILDERS[condition](curve)
-                 if not all(p.is_constant for p in tg[1])]
+        targets = _TARGET_BUILDERS[condition](curve)
+        built = [tg for tg in targets if not all(p.is_constant for p in tg[1])]
         facs = {p: factor(p) for p in {piece for _, pieces in built for piece in pieces}}
+        # (0, 0) is one 2-torsion point; the roots of x^2 + A x + B give the others
+        if condition == "scriptA" and _is_square_in_zt(dict(targets)["A^2-4B"][0], facs):
+            raise ValueError("A^2 - 4B is a square in Z[t]: the cubic splits; use condition A")
         self.curve = curve
         self.condition = condition
         self.model = curve.coeff_polys()
@@ -448,8 +462,39 @@ def _certificate_doc(report: ConditionReport) -> dict:
 
 
 def certificate_to_json(report: ConditionReport) -> str:
-    """Serialize a condition report as a replayable JSON document."""
-    return json.dumps(_certificate_doc(report), indent=2, sort_keys=True)
+    """Serialize a condition report as a replayable JSON document, the text
+    of json.dumps(doc, indent=2, sort_keys=True), written by _json_text."""
+    return _json_text(_certificate_doc(report))
+
+
+# the text of a JSON leaf by its exact type; a subclass of str or int takes the longer path
+_JSON_LEAVES = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(o, newline: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True), byte for byte, for o built
+    of dicts with str keys, lists, tuples, str, int, bool and None; any
+    other type raises TypeError, and an int past Python's digit limit the
+    ValueError of json.dumps.  json.dumps with an indent runs the stdlib's
+    pure-Python encoder, whose generators cost more than the text; this
+    writer escapes each string with the C function that json.dumps itself
+    uses and joins each container's items once."""
+    leaf = _JSON_LEAVES.get(type(o))
+    if leaf:
+        return leaf(o)
+    inner = newline + "  "
+    if isinstance(o, dict):  # a key other than a str fails its escape with TypeError
+        brackets, items = "{}", [f"{_JSON_LEAVES[str](k)}: {_json_text(o[k], inner)}" for k in sorted(o)]
+    elif isinstance(o, (list, tuple)):
+        brackets, items = "[]", [_json_text(v, inner) for v in o]
+    elif isinstance(o, (str, int)):  # written as its base type, as json.dumps writes it
+        return _JSON_LEAVES[str if isinstance(o, str) else int](o)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{newline}{brackets[1]}"
 
 
 def _curve_from_json(cdoc) -> Curve:

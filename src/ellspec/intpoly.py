@@ -127,9 +127,12 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if not isinstance(other, (IntPoly, int)):
             return NotImplemented
-        g = other._c if isinstance(other, IntPoly) else (other,) if other else ()
+        if not (self._c and other):
+            return IntPoly._trusted(())
+        if isinstance(other, int):  # a scaling, not a product of sequences
+            return IntPoly._trusted(tuple([other * x for x in self._c]))
         # over Z a product of two nonzero leading coefficients is nonzero
-        return IntPoly._trusted(tuple(_mul_coeffs(self._c, g)) if self._c and g else ())
+        return IntPoly._trusted(tuple(_mul_coeffs(self._c, other._c)))
 
     __rmul__ = __mul__
 
@@ -215,23 +218,19 @@ class IntPoly:
             return "0"
         terms = []
         for e in range(self.degree, -1, -1):
-            c = self[e]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if e == 0:
-                body = str(a)
-            elif e == 1:
-                body = "t" if a == 1 else f"{a}*t"
-            else:
-                body = f"t^{e}" if a == 1 else f"{a}*t^{e}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+            c = self._c[e]
+            if c:
+                a = abs(c)
+                if e == 0:
+                    body = str(a)
+                elif e == 1:
+                    body = "t" if a == 1 else f"{a}*t"
+                else:
+                    body = f"t^{e}" if a == 1 else f"{a}*t^{e}"
+                terms.append((" - " if c < 0 else " + ") + body)
+        # the leading term carries a bare minus sign and no plus
+        terms[0] = ("-" if terms[0][1] == "-" else "") + terms[0][3:]
+        return "".join(terms)
 
     def __repr__(self) -> str:
         return f"IntPoly({self})"

@@ -15,7 +15,6 @@ external input with provenance; it is never computed here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -24,6 +23,7 @@ from .conditions import (
     Checker,
     ConditionReport,
     _certificate_doc,
+    _json_text,
 )
 from .curves import Curve, OffCurveError, Point
 from .intmath import InvariantError, as_rational, factor_int
@@ -208,7 +208,7 @@ class GeneratorConclusion:
         }
         if self.injectivity_report is not None:
             doc["injectivity_certificate"] = _certificate_doc(self.injectivity_report)
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json_text(doc)
 
 
 def generator_certificate(

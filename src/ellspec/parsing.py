@@ -22,7 +22,9 @@ are parentheses nested deeper than MAX_NESTING.  Each operand is counted over
 the lcm of its coefficients' denominators, and a sum adds to each one's
 degree that of the other's lcm, so every coefficient computed is bounded.
 A sum of two int-list values needs no check: its degree is at most its
-operands', which were bounded when they were built.
+operands', which were bounded when they were built.  A packed product,
+one of a power's too, that would take more than MAX_PRODUCT_WORK products
+of ints is rejected before it is computed, at the operator or exponent.
 Each input is read as one token stream, so every error offset indexes the
 whole text.  Curves accept three forms: "e=(p1,p2,p3)" (split model),
 "A=...; B=...; C=..." with each key once, and "y^2 = x^3 + ...".
@@ -42,6 +44,9 @@ __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_po
 
 MAX_DEGREE = 1000
 MAX_NESTING = 100
+# Products of ints one product of two int-list values may take: 2^21 of them
+# take about 0.3 s, while the degree limit alone admits about 10^12.
+MAX_PRODUCT_WORK = 2**21
 
 
 class ParseError(ValueError):
@@ -78,13 +83,18 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 _ZERO_Q, _ONE_Q = RatFunc(0), RatFunc(1)
 
 
-def _mul_x(f: list, g: list) -> list:
+def _mul_x(f: list, g: list, pos: int) -> list:
     """Product of two polynomials in x over Z[t]: both are packed by x ->
     t^s, with s above every t-degree of the product, so one product of
-    int lists computes it."""
+    int lists computes it.  It takes a product of ints for each
+    coefficient of f and each packed entry of g; more than
+    MAX_PRODUCT_WORK of them is a ParseError at pos, raised before any."""
     if not f or not g:
         return []
     s = max(map(len, f)) + max(map(len, g))
+    work = sum(map(len, f)) * ((len(g) - 1) * s + len(g[-1]))
+    if work > MAX_PRODUCT_WORK:
+        raise ParseError(f"product of {work} coefficient pairs exceeds the limit {MAX_PRODUCT_WORK}", pos)
     f, g = ([c for n in h[:-1] for c in n + [0] * (s - len(n))] + h[-1] for h in (f, g))
     packed = _mul_coeffs(f, g)
     return _trim([_trim(packed[i : i + s]) for i in range(0, len(packed), s)], [])
@@ -126,14 +136,14 @@ def _add(a, b):
     return _add_coeffs(a, b, _add_coeffs, [])
 
 
-def _mul(a, b):
+def _mul(a, b, pos: int):
     if not (_over_q(a) or _over_q(b)):
         if len(b) == 1 == len(b[0]):
             a, b = b, a
         if len(a) == 1 == len(a[0]):  # an integer times b: no packing
             k = a[0][0]
             return [[k * c for c in n] for n in b]
-        return _mul_x(a, b)
+        return _mul_x(a, b, pos)
     return _mul_coeffs(_qt(a), _qt(b), _ZERO_Q) if a and b else []
 
 
@@ -212,7 +222,7 @@ class _Parser:
                 rhs = self.parse_factor()
                 _check_degree(_degrees(value)[0] + _degrees(rhs)[0], pos)
                 if op == "*":
-                    value = _mul(value, rhs)
+                    value = _mul(value, rhs, pos)
                     continue
                 if len(rhs) > 1:
                     raise ParseError("division by an x-dependent expression", pos)
@@ -240,7 +250,7 @@ class _Parser:
             _check_degree(exp * _degrees(base)[0], pos)
             self.advance()
             if not variable:
-                base = _power(base, exp, [[1]], _mul)
+                base = _power(base, exp, [[1]], lambda a, b: _mul(a, b, pos))
             elif base == [[0, 1]]:  # t^exp
                 base = [[0] * exp + [1]]
             else:  # x^exp

@@ -21,7 +21,7 @@ from ellspec.conditions import (
     replay_certificate,
     t0_candidates,
 )
-from ellspec.curves import Curve, O
+from ellspec.curves import Curve, O, SingularCurveError
 from ellspec.factorize import factor
 from ellspec.intmath import factor_int, is_square_rat
 from ellspec.intpoly import IntPoly, squarefree_decompose
@@ -272,6 +272,51 @@ def test_one_torsion_rejects_wrong_shape():
         assert str(refused.value) == (
             "A^2 - 4B is a square in Z[t]: the cubic splits; use condition A"
         )
+
+
+def _c0_models(rng: random.Random):
+    """(shape, A, B) of C = 0 models y^2 = x^3 + A x^2 + B x.  With A = 2a
+    and B = a^2 - d/4, A^2 - 4B is d: a square (s - u)^2 of the split
+    shape, a constant square or non-square, 2 s^2 (a square in Q(t) but
+    for its content), -s^2, or that of random A and B."""
+    a, s, u = (IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]) for _ in range(3))
+    k = rng.choice([1, 4, 9, 2, 3, -1, -4])
+    yield "split", -(s + u), s * u
+    yield "constant", 2 * a, a * a - k
+    yield "constant square", 2 * a, a * a - k * k
+    yield "twice a square", 2 * a, a * a - 2 * s * s
+    yield "minus a square", 2 * a, a * a + s * s
+    yield "random", *(IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]) for _ in range(2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_script_a_refuses_exactly_when_two_torsion_finds_three_points(monkeypatch, seed):
+    """The scriptA Checker reads its hypothesis from the factorization of
+    A^2 - 4B, or from exact_isqrt when that is constant, and agrees with
+    Curve.two_torsion; it factors the nonconstant pieces of its targets and
+    nothing else."""
+    rng = random.Random(f"scriptA hypothesis {seed}")
+    factored = []
+    monkeypatch.setattr(conditions, "factor", lambda p: factored.append(p) or factor(p))
+    seen = collections.Counter()
+    for _ in range(40):
+        for shape, A, B in _c0_models(rng):
+            try:
+                curve = Curve(A, B, IntPoly())
+            except SingularCurveError:
+                continue
+            factored.clear()
+            splits = len(curve.two_torsion()) != 2
+            if splits:
+                with pytest.raises(ValueError, match=r"^A\^2 - 4B is a square in Z\[t\]: the cubic splits"):
+                    Checker(curve, "scriptA")
+            else:
+                Checker(curve, "scriptA")
+            pieces = {p for p in (B, A * A - 4 * B) if not p.is_constant}
+            assert sorted(p.coeffs for p in factored) == sorted(p.coeffs for p in pieces)
+            seen[shape, splits] += 1
+    assert {("split", True), ("constant", False), ("constant square", True), ("twice a square", False),
+            ("minus a square", False), ("random", False)} <= set(seen)
 
 
 def test_diagnostic_is_never_certifying():

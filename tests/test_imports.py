@@ -12,15 +12,18 @@ Only curves and ratfunc take values into Q(t) (a curve fixes the field
 of its coefficients and points once), so no other module of the package
 reads RatFunc's _coerce or _lift.  Only ratfunc reads RatFunc._reduced,
 the constructor that trusts its parts to be coprime.  Only curves reads
-the cubic root finders, so Curve.two_torsion alone decides a curve's
-rational 2-torsion; conditions may read _q_cubic_roots for A1B's per-t0
-test.  In parsing, only _tokenize reads the raw text: no other function
+the cubic root finders, so Curve.two_torsion alone finds a curve's
+rational 2-torsion points; conditions may read _q_cubic_roots for A1B's
+per-t0 test, and reads scriptA's hypothesis, that A^2 - 4B is not a
+square, from the factorization of A^2 - 4B.  In parsing, only _tokenize reads the raw text: no other function
 slices it with string methods or re.  The package has one schoolbook
 product loop, intpoly._mul_coeffs, one trailing-zero loop,
 intpoly._trim, one square-and-multiply loop, intpoly._power, one
 Horner loop, intpoly._horner_homogeneous, and one balanced-digit loop,
 intpoly._from_balanced_digits, which GCDHEU, the 2-torsion
-reconstruction and the discriminant share.  It holds two memos, the
+reconstruction and the discriminant share.  It writes sorted JSON through
+one writer, conditions._json_text: no call of json.dumps passes
+sort_keys.  It holds two memos, the
 lru_cache on factorize.factor and the one on conditions._prepare, which
 keeps the Checkers that check_condition and find_t0 share.
 
@@ -1006,3 +1009,42 @@ def test_the_memo_scan_flags_every_memo_but_spares_cached_property():
         ),
     }
     assert _memos(program) == ["factorize.factor", "curves.Curve.two_torsion", "parsing:2", "mestre:1"]
+
+
+def _sorted_json_writers(program: dict[str, ast.Module]) -> list[str]:
+    """module:line of every call of a name or attribute dumps, dump or
+    JSONEncoder that passes sort_keys other than as the constant False."""
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in program.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("dumps", "dump", "JSONEncoder")
+        and any(kw.arg == "sort_keys" and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+                for kw in node.keywords)
+    ]
+
+
+def test_one_sorted_json_writer():
+    """Sorted JSON is written by conditions._json_text alone; verify-paper
+    keeps its results in order on a plain json.dumps."""
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _sorted_json_writers(program) == []
+
+
+def test_the_sorted_json_scan_flags_every_sorting_call():
+    program = {
+        "cli": ast.parse(
+            "import json\n"
+            "from json import dumps\n"
+            "def f(doc, fh, sort):\n"
+            "    print(json.dumps(doc, indent=2, sort_keys=True))\n"
+            "    print(dumps(doc, sort_keys=sort))\n"
+            "    json.dump(doc, fh, sort_keys=1)\n"
+            "    json.JSONEncoder(sort_keys=True).encode(doc)\n"
+            "    print(json.dumps(doc, indent=2))\n"
+            "    print(json.dumps(doc, sort_keys=False))\n"
+            "    return json.loads(json.dumps(doc))\n"
+        ),
+    }
+    assert sorted(_sorted_json_writers(program)) == ["cli:4", "cli:5", "cli:6", "cli:7"]

@@ -13,6 +13,7 @@ from ellspec.intpoly import IntPoly, _gcd_cofactors
 from ellspec.parsing import (
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_PRODUCT_WORK,
     ParseError,
     parse_curve,
     parse_point,
@@ -120,6 +121,47 @@ def test_product_degree_limit():
             parse_curve(text)
 
 
+def _nested_power(k: int) -> str:
+    return f"y^2 = x^3 + ((x-t+12)^{k})^0"
+
+
+def test_a_packed_product_over_the_work_limit_is_refused_before_it_is_computed(monkeypatch):
+    """A product of two int-list values takes one product of ints per
+    coefficient of the left value and packed entry of the right one; past
+    MAX_PRODUCT_WORK it is refused at the operator or the exponent."""
+    computed = []
+    mul_coeffs = parsing._mul_coeffs
+    monkeypatch.setattr(parsing, "_mul_coeffs",
+                        lambda f, g, *zero: computed.append(sum(1 for a in f if a) * len(g)) or mul_coeffs(f, g, *zero))
+    # the largest product of (x-t+12)^50 takes 316,350, well within the limit
+    assert parse_curve(_nested_power(50)) == parse_curve("y^2 = x^3 + 1")
+    assert 300_000 < max(computed) <= MAX_PRODUCT_WORK
+    for text, work, offset in [
+        (_nested_power(100), 4589887, 22),
+        (_nested_power(400), 17848545, 22),
+        ("y^2 = x^3 + (x-t+12)^60*(x-t+12)^60", 13844011, 23),
+    ]:
+        computed.clear()
+        with pytest.raises(ParseError, match=f"^product of {work} coefficient pairs exceeds "
+                                             f"the limit {MAX_PRODUCT_WORK} at offset {offset}$"):
+            parse_curve(text)
+        assert max(computed) <= MAX_PRODUCT_WORK
+
+
+def test_a_power_over_the_work_limit_exits_2_at_once():
+    src = os.path.dirname(os.path.dirname(parsing.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellspec", "check", "--condition", "A1B", "--curve", _nested_power(400), "--t0", "1"],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: product of 17848545 coefficient pairs exceeds the limit "
+                           f"{MAX_PRODUCT_WORK} at offset 22\n")
+
+
 _SMALL_LIMIT = 8
 _terms = st.tuples(
     st.sampled_from(["1", "2", "t", "x", "x^2"]),
@@ -144,8 +186,8 @@ def test_the_degree_limit_bounds_every_polynomial_computed(text):
     built = []
     trusted, init, mul = IntPoly._trusted.__func__, IntPoly.__init__, parsing._mul
 
-    def recorded_mul(f, g):  # packed or by an integer; RatFunc parts are recorded as IntPolys
-        product = mul(f, g)
+    def recorded_mul(f, g, pos):  # packed or by an integer; RatFunc parts are recorded as IntPolys
+        product = mul(f, g, pos)
         built.extend(len(n) - 1 for n in [product, *product] if isinstance(n, list))
         return product
 

@@ -259,8 +259,8 @@ def test_a_bad_condition_or_model_still_raises_its_value_error_first(monkeypatch
 
 def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
     """A1B asks Curve.two_torsion once per search and never in a report;
-    scriptA asks it once per Checker, for its one-torsion hypothesis, and
-    the replays and later checks of one curve share that Checker."""
+    scriptA never asks it: its Checker reads the one-torsion hypothesis
+    from the factorization of A^2 - 4B that it holds."""
     calls = []
     two_torsion = Curve.two_torsion
     monkeypatch.setattr(Curve, "two_torsion", lambda self: calls.append(self) or two_torsion(self))
@@ -273,7 +273,7 @@ def test_only_the_search_looks_for_a_root_in_qt(monkeypatch):
 
     for text, condition, per_checker in [("y^2 = x^3 + t*x^2 + x + t", "A1B", 0),
                                          ("y^2 = x^3 - x + t^2", "A1B", 0),
-                                         ("y^2 = x^3 + t^2*x^2 - x", "scriptA", 1)]:
+                                         ("y^2 = x^3 + t^2*x^2 - x", "scriptA", 0)]:
         calls.clear()
         for t0 in (0, 2, Fraction(-3, 5)):
             report = check_condition(parse_curve(text), condition, t0)
