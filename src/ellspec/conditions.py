@@ -210,7 +210,8 @@ def _require_known(condition) -> None:
 
 
 class Checker:
-    """One criterion prepared for one curve.  The constructor factors each
+    """One criterion prepared for one curve over Q(t), on its integral model
+    (see Curve).  The constructor factors each
     distinct piece of the targets once and lists nothing; the first
     check(t0) lists every divisor of self.targets, and each check evaluates
     that one listing for its report.  passes(t0) decides the same verdict
@@ -244,10 +245,14 @@ class Checker:
                         for label, pieces in built]
 
     def check(self, t0) -> ConditionReport:
-        """The criterion at t0, with every divisor value in the report; a
-        report of more than _DIVISOR_CAP divisors raises ValueError, and a
-        listed pass that the rank test of passes denies, InvariantError."""
+        """The criterion at t0, with every divisor value in the report; a t0
+        that is a pole of a coefficient, or a report of more than
+        _DIVISOR_CAP divisors, raises ValueError, and a listed pass that
+        the rank test of passes denies, InvariantError."""
         t0 = as_rational(t0)
+        n, m = t0.numerator, t0.denominator
+        if _horner_homogeneous(self.curve.scale.coeffs, n, m) == 0:
+            raise ValueError(f"t0={t0} is a pole of a coefficient of the curve")
         Dv = self.discriminant(t0)
         report = ConditionReport(
             condition=self.condition,
@@ -264,10 +269,9 @@ class Checker:
         if count > _DIVISOR_CAP:
             raise ValueError(f"condition {self.condition} at t0={t0}: the report would list "
                              f"{count} divisors, over the cap of {_DIVISOR_CAP}")
-        n, m = t0.numerator, t0.denominator
-        for (label, factors, _), divisors in zip(self.targets, self._listing):
-            # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
-            values = [_horner_homogeneous(g.coeffs, n, m) for g in factors]
+        # g(t0) = G / m^deg(g), so h(t0) = c * prod(G) / m^deg(h)
+        evaluated = [[_horner_homogeneous(g.coeffs, n, m) for g in fs] for _, fs, _ in self.targets]
+        for (label, _, _), divisors, values in zip(self.targets, self._listing, evaluated):
             for h, c, idx in divisors:
                 value = Fraction(c * math.prod(values[i] for i in idx), m**h.degree)
                 root = is_square_rat(value)
@@ -275,22 +279,16 @@ class Checker:
                 if root is not None:
                     report.passed = False
         # a composite listed as a prime hides divisors, so only a listed pass can be wrong
-        if report.passed and not self._targets_independent(n, m):
+        if report.passed and not all(_independent([v * m if g.degree % 2 else v for g, v in zip(fs, G)], ps)
+                                     for (_, fs, ps), G in zip(self.targets, evaluated)):
             raise InvariantError(f"rank test and divisor enumeration disagree at t0={t0}")
         if self.condition == "A1B":
-            report.notes.append(
-                "diagnostic only: passing is NOT an injectivity certificate"
-            )
+            report.notes.append("diagnostic only: passing is NOT an injectivity certificate")
             spec_roots = self._specialized_cubic_roots(t0)
-            a1_passed = report.passed
-            b_passed = len(spec_roots) == 0
-            report.subresults["A1"] = a1_passed
-            report.subresults["B"] = b_passed
-            report.passed = a1_passed and b_passed
-            if not b_passed:
-                report.notes.append(
-                    f"specialized cubic has a rational root {spec_roots[0]}"
-                )
+            report.subresults.update(A1=report.passed, B=not spec_roots)
+            report.passed = report.passed and not spec_roots
+            if spec_roots:
+                report.notes.append(f"specialized cubic has a rational root {spec_roots[0]}")
         return report
 
     def passes(self, t0) -> bool:
@@ -309,20 +307,11 @@ class Checker:
         n, m = t0.numerator, t0.denominator
         if _horner_homogeneous(self.discriminant.coeffs, n, m) == 0:
             return False
-        if not self._targets_independent(n, m):
-            return False
-        return self.condition != "A1B" or not self._specialized_cubic_roots(t0)
-
-    def _targets_independent(self, n: int, m: int) -> bool:
-        """Whether at t0 = n/m no factor of a target vanishes and each
-        target's v_i are independent modulo W, which is spanned by -1 and
-        the primes of the product of its content primes."""
         for _, factors, primes in self.targets:
-            values = [_horner_homogeneous(g.coeffs, n, m) * (m if g.degree % 2 else 1)
-                      for g in factors]
-            if 0 in values or not _independent_mod_squares(values, math.prod(primes)):
+            if not _independent([_horner_homogeneous(g.coeffs, n, m) * (m if g.degree % 2 else 1)
+                                 for g in factors], primes):
                 return False
-        return True
+        return self.condition != "A1B" or not self._specialized_cubic_roots(t0)
 
     @cached_property
     def _listing(self) -> list[list[tuple[IntPoly, int, tuple[int, ...]]]]:
@@ -332,6 +321,13 @@ class Checker:
     def _specialized_cubic_roots(self, t0: Fraction) -> list[Fraction]:
         A, B, C = self.model
         return _q_cubic_roots(A(t0), B(t0), C(t0))
+
+
+def _independent(values: list[int], primes: list[int]) -> bool:
+    """Whether a target's v_i at t0, values, are all nonzero and independent
+    modulo W, which is spanned by -1 and the primes of the product of its
+    content primes (see Checker.passes)."""
+    return 0 not in values and _independent_mod_squares(values, math.prod(primes))
 
 
 # Prepared Checkers kept per process.  A check and its replay use one entry
@@ -383,9 +379,9 @@ def t0_candidates(budget: SearchBudget = SearchBudget()) -> Iterator[Fraction]:
 
 
 def _cubic_has_qt_root(curve: Curve) -> bool:
-    """Whether the cubic of curve, a model over Z[t], has a root in Q(t).
-    Such a root r lies in Z[t], so r(t0) is a rational root of every
-    specialized cubic.  Any other model raises the ValueError of coeff_polys."""
+    """Whether the cubic of curve over Q(t) has a root in Q(t).  Then its
+    integral model has a root X in Z[t], and X(t0) is a rational root of the
+    model at every t0.  A curve over Q raises the ValueError of coeff_polys."""
     curve.coeff_polys()
     return len(curve.two_torsion()) > 1
 
@@ -401,7 +397,8 @@ def find_t0(
     Each candidate is decided by Checker.passes, and the full report of
     Checker.check is built once, for the t0 returned, so it is the same
     report and certificate that check_condition gives at that t0.  The
-    search builds its own Checker and leaves the shared ones alone.
+    search builds its own Checker, on the curve's integral model, and leaves
+    the shared ones alone; a pole t0 never passes: the model is singular there.
 
     A1B on a cubic with a root in Q(t) fails at every t0, so its search
     raises BudgetExhausted at any budget, before anything is factored and

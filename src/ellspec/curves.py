@@ -68,7 +68,11 @@ O = Point()
 class Curve:
     """Nonsingular cubic y^2 = x^3 + A x^2 + B x + C over Q(t) when a
     coefficient is an IntPoly or RatFunc, else over Q.  Coefficients and
-    point coordinates enter that field once, here."""
+    point coordinates enter that field once, here.  Over Q(t), x = X/u^2,
+    y = Y/u^3 for u = scale, the lcm of the denominators, maps it onto the
+    integral model Y^2 = X^3 + u^2A X^2 + u^4B X + u^6C, an isomorphism
+    also at each t0 with u(t0) != 0 (Silverman, AEC III.1), which the
+    criteria, the discriminant and the 2-torsion share."""
 
     def __init__(self, A, B, C):
         over_qt = any(isinstance(c, (IntPoly, RatFunc)) for c in (A, B, C))
@@ -76,20 +80,11 @@ class Curve:
         self._element = RatFunc._coerce if over_qt else as_rational
         self.A, self.B, self.C = (self._element(c) for c in (A, B, C))
         self.split_roots = None
+        model = (self.A, self.B, self.C)
         if over_qt:
-            # x = X/d turns the cubic into the monic X^3 + aX^2 + bX + c with
-            # a, b, c = dA, d^2B, d^3C in Z[t], d the lcm of the
-            # denominators; its discriminant is d^6 times that of the cubic.
-            # With d = 1 the model is the numerators themselves.
-            d = _common_den((self.A, self.B, self.C))
-            self._model = tuple(
-                f.num if d == 1 else _exact_quotient(d**k * f.num, f.den)
-                for k, f in ((1, self.A), (2, self.B), (3, self.C))
-            )
-            self._model_den = d
-            self.disc_cubic = RatFunc(cubic_discriminant(*self._model), 1 if d == 1 else d**6)
-        else:
-            self.disc_cubic = cubic_discriminant(self.A, self.B, self.C)
+            self.scale = _common_den(model)
+            model = self._model = tuple(self._scaled(f, k) for k, f in zip((2, 4, 6), model))
+        self.disc_cubic = cubic_discriminant(*model)  # over Q(t), u^12 times the cubic's
         if not self.disc_cubic:
             raise SingularCurveError(self.disc_cubic)
 
@@ -115,22 +110,25 @@ class Curve:
     # -- coefficient access --------------------------------------------
 
     def coeff_polys(self) -> tuple[IntPoly, IntPoly, IntPoly]:
-        """(A, B, C) as elements of Z[t]; raises for other coefficient rings."""
+        """The integral model (u^2A, u^4B, u^6C) (see Curve); raises over Q."""
         if self.field != "Q(t)":
             raise ValueError("curve is not defined over Q(t)")
-        if self._model_den != 1:
-            raise ValueError(f"coefficients of {self} are not all in Z[t]")
         return self._model
 
     def discriminant_poly(self) -> IntPoly:
-        """Discriminant of the cubic as an element of Z[t]."""
+        """The integral model's discriminant, u^12 times the cubic's."""
         self.coeff_polys()
-        return self.disc_cubic.num
+        return self.disc_cubic
 
     def split_root_polys(self) -> tuple[IntPoly, IntPoly, IntPoly]:
+        """The roots u^2 e_i of the integral model, in Z[t]."""
         if self.split_roots is None:
             raise ValueError("curve has no recorded split roots")
-        return tuple(e.as_poly() for e in self.split_roots)  # type: ignore[return-value]
+        return tuple(self._scaled(e, 2) for e in self.split_roots)  # type: ignore[return-value]
+
+    def _scaled(self, f: RatFunc, k: int) -> IntPoly:
+        """u^k f in Z[t] for u = scale, where den(f) divides u^k: f.num when u = 1."""
+        return f.num if self.scale == 1 else _exact_quotient(self.scale**k * f.num, f.den)
 
     # -- equation and membership ----------------------------------------
 
@@ -208,11 +206,11 @@ class Curve:
     # -- torsion ---------------------------------------------------------
 
     def two_torsion(self) -> list[Point]:
-        """O plus one point (e, 0) per rational root e of the cubic."""
+        """O plus (e, 0) per rational root e of the cubic; over Q(t), e = X/u^2 per root X of the model."""
         if self.field == "Q":
             roots = _q_cubic_roots(self.A, self.B, self.C)
         else:
-            roots = [RatFunc(X, self._model_den) for X in _qt_cubic_roots(*self._model)]
+            roots = [RatFunc(X, self.scale**2) for X in _qt_cubic_roots(*self._model)]
         zero = self._element(0)
         return [O] + [self._proven(e, zero) for e in roots]
 

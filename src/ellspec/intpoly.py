@@ -422,20 +422,20 @@ def _horner_homogeneous(coeffs: tuple[int, ...], n: int, m: int) -> int:
 def _from_balanced_digits(n: int, base: int) -> IntPoly:
     """The polynomial whose coefficients are the balanced base-`base`
     digits of n (each in (-base/2, base/2]), so that its value at `base`
-    is n.  A power of two as base takes masks and shifts for divmod."""
+    is n.  For a base 2^k they are the k-bit fields, less the shift, of the
+    binary text of n plus the shift at each of enough places: one pass
+    over the text, where a loop of shifts would copy n once per digit."""
     shift = base - 1 - base // 2  # a digit is a remainder less the shift
-    digits = []
     if base & (base - 1):
+        digits = []
         while n:
             n, d = divmod(n + shift, base)
             digits.append(d - shift)
-    else:
-        mask, k = base - 1, base.bit_length() - 1
-        while n:
-            n += shift
-            digits.append((n & mask) - shift)
-            n >>= k
-    return IntPoly._trusted(tuple(digits))  # the top digit is n's last, nonzero
+        return IntPoly._trusted(tuple(digits))  # the top digit is n's last, nonzero
+    k = base.bit_length() - 1
+    places = n.bit_length() // k + 2
+    bits = format(n + int(format(shift, f"0{k}b") * places, 2), f"0{k * places}b")
+    return IntPoly._trusted(tuple(_trim([int(bits[i - k : i], 2) - shift for i in range(len(bits), 0, -k)])))
 
 
 def _prs_gcd(pa: IntPoly, pb: IntPoly) -> IntPoly:

@@ -22,9 +22,9 @@ are parentheses nested deeper than MAX_NESTING.  Each operand is counted over
 the lcm of its coefficients' denominators, and a sum adds to each one's
 degree that of the other's lcm, so every coefficient computed is bounded.
 A sum of two int-list values needs no check: its degree is at most its
-operands', which were bounded when they were built.  A packed product,
-one of a power's too, that would take more than MAX_PRODUCT_WORK products
-of ints is rejected before it is computed, at the operator or exponent.
+operands', which were bounded when they were built.  A product, one of a
+power's too, whose work (see _mul_x and _mul) would pass MAX_PRODUCT_WORK
+is rejected before it is computed, at the operator or exponent.
 Each input is read as one token stream, so every error offset indexes the
 whole text.  Curves accept three forms: "e=(p1,p2,p3)" (split model),
 "A=...; B=...; C=..." with each key once, and "y^2 = x^3 + ...".
@@ -44,8 +44,8 @@ __all__ = ["ParseError", "parse_poly", "parse_ratfunc", "parse_curve", "parse_po
 
 MAX_DEGREE = 1000
 MAX_NESTING = 100
-# Products of ints one product of two int-list values may take: 2^21 of them
-# take about 0.3 s, while the degree limit alone admits about 10^12.
+# Work one product of two values may take (see _mul_x and _mul): 2^21 products
+# of ints take about 0.3 s, while the degree limit alone admits about 10^12.
 MAX_PRODUCT_WORK = 2**21
 
 
@@ -92,9 +92,7 @@ def _mul_x(f: list, g: list, pos: int) -> list:
     if not f or not g:
         return []
     s = max(map(len, f)) + max(map(len, g))
-    work = sum(map(len, f)) * ((len(g) - 1) * s + len(g[-1]))
-    if work > MAX_PRODUCT_WORK:
-        raise ParseError(f"product of {work} coefficient pairs exceeds the limit {MAX_PRODUCT_WORK}", pos)
+    _check_work(sum(map(len, f)) * ((len(g) - 1) * s + len(g[-1])), pos)
     f, g = ([c for n in h[:-1] for c in n + [0] * (s - len(n))] + h[-1] for h in (f, g))
     packed = _mul_coeffs(f, g)
     return _trim([_trim(packed[i : i + s]) for i in range(0, len(packed), s)], [])
@@ -136,7 +134,15 @@ def _add(a, b):
     return _add_coeffs(a, b, _add_coeffs, [])
 
 
+def _check_work(work: int, pos: int) -> None:
+    if work > MAX_PRODUCT_WORK:
+        raise ParseError(f"product of {work} coefficient pairs exceeds the limit {MAX_PRODUCT_WORK}", pos)
+
+
 def _mul(a, b, pos: int):
+    """Product of two values for the operator or exponent at pos.  Over RatFunc
+    its work, (sum |a_i.num|)(sum |b_j.num|) + (sum |a_i.den|)(sum |b_j.den|)
+    for |p| the number of coefficients of p, is bounded as _mul_x's is."""
     if not (_over_q(a) or _over_q(b)):
         if len(b) == 1 == len(b[0]):
             a, b = b, a
@@ -144,7 +150,10 @@ def _mul(a, b, pos: int):
             k = a[0][0]
             return [[k * c for c in n] for n in b]
         return _mul_x(a, b, pos)
-    return _mul_coeffs(_qt(a), _qt(b), _ZERO_Q) if a and b else []
+    a, b = _qt(a), _qt(b)
+    (an, ad), (bn, bd) = ((sum(len(c.num.coeffs) for c in v), sum(len(c.den.coeffs) for c in v)) for v in (a, b))
+    _check_work(an * bn + ad * bd, pos)
+    return _mul_coeffs(a, b, _ZERO_Q) if a and b else []
 
 
 def _check_degree(degree: int, pos: int) -> None:

@@ -67,12 +67,6 @@ class RatFunc:
             raise ValueError(f"{self} is not a constant")
         return Fraction(self.num.lc, self.den.lc)
 
-    def as_poly(self) -> IntPoly:
-        """The underlying Z[t] element; raises when not integral."""
-        if self.den != 1:
-            raise ValueError(f"{self} is not in Z[t]")
-        return self.num
-
     # -- field operations ------------------------------------------------
 
     @classmethod

@@ -494,12 +494,12 @@ _WRONG_PRS_GCD = "intpoly._HEU_GCD_ROUNDS = 0; intpoly._prs_gcd = lambda a, b: i
             "known to be exact left a remainder (degree 3 by degree 1)",
         ),
         (
-            _WRONG_PRS_GCD,  # the gcd that reduces disc / d^6 in Q(t)
-            ["check", "--condition", "A1B", "--curve", "y^2 = x^3 + x/t + 1", "--t0", "1"],
-            "known to be exact left a remainder (degree 6 by degree 1)",
+            _WRONG_PRS_GCD,  # the cross gcd that reduces (t^2 + 1)/(t^2 - 1) in Q(t)
+            ["check", "--condition", "A1B", "--curve", "y^2 = x^3 + x + (t^2+1)/(t^2-1)", "--t0", "2"],
+            "known to be exact left a remainder (degree 2 by degree 1)",
         ),
         (
-            "intpoly.IntPoly.__pow__ = lambda self, e: intpoly.IntPoly([1])",  # d^k in the model
+            "intpoly.IntPoly.__pow__ = lambda self, e: intpoly.IntPoly([1])",  # u^k in the model
             ["check", "--condition", "A1B", "--curve", "y^2 = x^3 + x/t + 1", "--t0", "1"],
             "known to be exact left a remainder (degree 0 by degree 1)",
         ),

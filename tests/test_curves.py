@@ -310,14 +310,18 @@ def test_disc_cubic_matches_the_field_formula():
     curves.append(parse_curve("y^2 = x^3 + (t/2)*x^2 + (-t^2/2)*x"))  # constant denominator
     curves.append(Curve.from_roots(RatFunc(0), 1 / t, t))  # polynomial denominator
     for curve in curves:
-        assert curve.disc_cubic == _field_discriminant(curve), curve
+        # over Q(t) the discriminant is the integral model's, u^12 times the cubic's
+        u12 = curve.scale**12 if curve.field == "Q(t)" else 1
+        assert curve.disc_cubic == u12 * _field_discriminant(curve), curve
 
 
 def _product_scaled(curve):
     """(disc_cubic, 2-torsion x-coordinates) from the model that scales x
     by the product d of the denominators of A, B and C."""
     d = curve.A.den * curve.B.den * curve.C.den
-    model = [(f * d**k).as_poly() for k, f in ((1, curve.A), (2, curve.B), (3, curve.C))]
+    scaled = [f * d**k for k, f in ((1, curve.A), (2, curve.B), (3, curve.C))]
+    assert all(f.den == 1 for f in scaled)
+    model = [f.num for f in scaled]
     return RatFunc(cubic_discriminant(*model), d**6), [RatFunc(X, d) for X in _qt_cubic_roots(*model)]
 
 
@@ -338,38 +342,44 @@ def test_the_lcm_model_agrees_with_the_product_scaled_one():
     lcm_smaller = 0
     for curve in curves:
         disc, roots = _product_scaled(curve)
-        assert curve.disc_cubic == disc, curve
+        assert curve.disc_cubic == curve.scale**12 * disc, curve
         points = curve.two_torsion()
         assert len(points) == len(roots) + 1
         assert {P.x for P in points[1:]} == set(roots)
-        lcm_smaller += curve._model_den.degree < (curve.A.den * curve.B.den * curve.C.den).degree
+        lcm_smaller += curve.scale.degree < (curve.A.den * curve.B.den * curve.C.den).degree
     assert lcm_smaller >= 10
 
 
 def test_a_curve_over_large_shared_denominators_parses_quickly():
     """A, B and C have denominators of degrees 1000, 1000 and 999.  Their
-    lcm, of degree 1000, scales x; their product, of degree 2999, made the
-    discriminant's reduction take seconds."""
+    lcm u, of degree 1000, scales the model; their product, of degree
+    2999, made the discriminant's reduction take seconds.  The model's
+    discriminant is u^12 times the cubic's, of degree 4004 - 4000."""
     start = time.perf_counter()
     curve = parse_curve("e=(-t, -t/t^999/(t^2-6), -7)")
     assert time.perf_counter() - start < 0.5
-    assert curve._model_den.degree == 1000
-    e1, e2, e3 = curve.split_roots
-    assert curve.disc_cubic == ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
-    assert (curve.disc_cubic.num.degree, curve.disc_cubic.den.degree) == (4004, 4000)
+    assert curve.scale.degree == 1000
+    X1, X2, X3 = curve.split_root_polys()
+    assert curve.disc_cubic == ((X1 - X2) * (X1 - X3) * (X2 - X3)) ** 2
+    assert curve.disc_cubic.degree == 12004
 
 
 def test_a_denominator_keeps_the_z_t_accessors_closed():
+    """With a denominator the Z[t] accessors return the integral model for
+    u = t: the roots t^2 e_i, (u^2A, u^4B, u^6C) and u^12 times the
+    discriminant, all in Z[t]."""
     curve = Curve.from_roots(RatFunc(0), 1 / t, t)
-    with pytest.raises(ValueError):
-        curve.coeff_polys()
-    with pytest.raises(ValueError):
-        curve.discriminant_poly()
+    assert curve.scale == T
+    assert curve.split_root_polys() == (IntPoly(), T, T**3)
+    assert curve.coeff_polys() == (-(T + T**3), T**4, IntPoly())
+    assert curve.discriminant_poly() == (T**12 * _field_discriminant(curve)).num
+    assert curve.discriminant_poly() == (T * T**3 * (T**3 - T)) ** 2
     xs = {P.x for P in curve.two_torsion() if not P.is_infinity}
     assert xs == {RatFunc(0), 1 / t, t}
 
     integral = Curve.from_roots(RatFunc(0), t, 7 * t + 1)
-    assert integral.discriminant_poly() == _field_discriminant(integral).as_poly()
+    assert integral.scale == 1
+    assert integral.discriminant_poly() == _field_discriminant(integral).num
 
 
 def test_equal_values_hash_equal():

@@ -15,13 +15,16 @@ the constructor that trusts its parts to be coprime.  Only curves reads
 the cubic root finders, so Curve.two_torsion alone finds a curve's
 rational 2-torsion points; conditions may read _q_cubic_roots for A1B's
 per-t0 test, and reads scriptA's hypothesis, that A^2 - 4B is not a
-square, from the factorization of A^2 - 4B.  In parsing, only _tokenize reads the raw text: no other function
+square, from the factorization of A^2 - 4B.  Only curves calls
+cubic_discriminant or reads Curve._model, so every other module reaches a
+curve's one integral model through coeff_polys.  In parsing, only _tokenize reads the raw text: no other function
 slices it with string methods or re.  The package has one schoolbook
 product loop, intpoly._mul_coeffs, one trailing-zero loop,
 intpoly._trim, one square-and-multiply loop, intpoly._power, one
 Horner loop, intpoly._horner_homogeneous, and one balanced-digit loop,
-intpoly._from_balanced_digits, which GCDHEU, the 2-torsion
-reconstruction and the discriminant share.  It writes sorted JSON through
+intpoly._from_balanced_digits, which GCDHEU and the 2-torsion
+reconstruction run; the discriminant's power-of-two base reads its
+digits off the binary text instead.  It writes sorted JSON through
 one writer, conditions._json_text: no call of json.dumps passes
 sort_keys.  It holds two memos, the
 lru_cache on factorize.factor and the one on conditions._prepare, which
@@ -445,6 +448,44 @@ def test_the_root_finder_scan_flags_readers_outside_curves(package_tree):
         (package_tree / f"src/ellspec/{module}.py").write_text(text, encoding="utf-8")
     program, _ = _program_and_callers(package_tree)
     assert _root_finder_readers(program) == ["conditions._qt_cubic_roots", "mestre._int_cubic_roots"]
+
+
+def _model_readers(program: dict[str, ast.Module]) -> list[str]:
+    """module:line, sorted, of each call of cubic_discriminant, as a name or
+    an attribute, and each load of the attribute _model outside curves."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in program.items()
+        if module != "curves"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "cubic_discriminant"
+        or isinstance(node, ast.Attribute) and node.attr == "_model" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_only_curves_reads_the_integral_model():
+    program = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM}
+    assert _model_readers(program) == []
+
+
+def test_the_model_scan_flags_discriminants_and_model_reads_outside_curves():
+    program = {
+        "curves": ast.parse("self._model = m\nd = cubic_discriminant(*self._model)\n"),
+        "intpoly": ast.parse("def cubic_discriminant(A, B, C):\n    return _discriminant(A, B, C)\n"),
+        "conditions": ast.parse(
+            "from .intpoly import cubic_discriminant\n"
+            "D = cubic_discriminant(*curve.coeff_polys())\n"
+            "A, B, C = curve._model\n"
+        ),
+        "golden": ast.parse(
+            "from . import intpoly\n"
+            "d = intpoly.cubic_discriminant(a, b, c)\n"
+            "curve._model = None\n"
+            "m = curve.coeff_polys()\n"
+        ),
+    }
+    assert _model_readers(program) == ["conditions:2", "conditions:3", "golden:2"]
 
 
 STRING_SLICERS = {"split", "rsplit", "index", "find", "startswith", "replace"}

@@ -121,14 +121,16 @@ def test_product_degree_limit():
             parse_curve(text)
 
 
-def _nested_power(k: int) -> str:
-    return f"y^2 = x^3 + ((x-t+12)^{k})^0"
+def _nested_power(k: int, base: str = "x-t+12") -> str:
+    return f"y^2 = x^3 + (({base})^{k})^0"
 
 
 def test_a_packed_product_over_the_work_limit_is_refused_before_it_is_computed(monkeypatch):
     """A product of two int-list values takes one product of ints per
-    coefficient of the left value and packed entry of the right one; past
-    MAX_PRODUCT_WORK it is refused at the operator or the exponent."""
+    coefficient of the left value and packed entry of the right one, and a
+    product of RatFunc lists is counted over the coefficients of the
+    numerators and of the denominators; past MAX_PRODUCT_WORK either is
+    refused at the operator or the exponent."""
     computed = []
     mul_coeffs = parsing._mul_coeffs
     monkeypatch.setattr(parsing, "_mul_coeffs",
@@ -136,10 +138,21 @@ def test_a_packed_product_over_the_work_limit_is_refused_before_it_is_computed(m
     # the largest product of (x-t+12)^50 takes 316,350, well within the limit
     assert parse_curve(_nested_power(50)) == parse_curve("y^2 = x^3 + 1")
     assert 300_000 < max(computed) <= MAX_PRODUCT_WORK
+    counted = []
+    check_work = parsing._check_work
+    monkeypatch.setattr(parsing, "_check_work", lambda work, pos: counted.append(work) or check_work(work, pos))
+    for k, largest in [(50, 107_217), (100, 1_510_340)]:  # over Q(t)
+        counted.clear()
+        curve = parse_curve(_nested_power(k, "x-t/2"))
+        assert max(counted) == largest and curve == parse_curve("y^2 = x^3 + 1")
     for text, work, offset in [
         (_nested_power(100), 4589887, 22),
         (_nested_power(400), 17848545, 22),
         ("y^2 = x^3 + (x-t+12)^60*(x-t+12)^60", 13844011, 23),
+        (_nested_power(128, "x-t/2"), 4605250, 21),
+        (_nested_power(400, "x-t/2"), 4605250, 21),
+        (_nested_power(400, "x-1/t"), 4605250, 21),
+        ("y^2 = x^3 + (x-t/2)^60*(x-t/2)^60", 3579602, 22),
     ]:
         computed.clear()
         with pytest.raises(ParseError, match=f"^product of {work} coefficient pairs exceeds "
@@ -148,18 +161,30 @@ def test_a_packed_product_over_the_work_limit_is_refused_before_it_is_computed(m
         assert max(computed) <= MAX_PRODUCT_WORK
 
 
-def test_a_power_over_the_work_limit_exits_2_at_once():
+def _assert_check_exits_2_at_once(curve: str, message: str) -> None:
+    """check --condition A1B on curve, in its own process, exits 2 with
+    message within 5 s."""
     src = os.path.dirname(os.path.dirname(parsing.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "ellspec", "check", "--condition", "A1B", "--curve", _nested_power(400), "--t0", "1"],
+        [sys.executable, "-m", "ellspec", "check", "--condition", "A1B", "--curve", curve, "--t0", "1"],
         env=env, capture_output=True, text=True, timeout=5,
     )
     assert time.perf_counter() - start < 5
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (f"error: product of 17848545 coefficient pairs exceeds the limit "
-                           f"{MAX_PRODUCT_WORK} at offset 22\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_a_power_over_the_work_limit_exits_2_at_once():
+    _assert_check_exits_2_at_once(
+        _nested_power(400), f"product of 17848545 coefficient pairs exceeds the limit {MAX_PRODUCT_WORK} at offset 22")
+
+
+def test_a_power_over_q_t_over_the_work_limit_exits_2_at_once():
+    """(x-t/2)^400 is a power of RatFunc lists, bounded as an int-list one is."""
+    _assert_check_exits_2_at_once(
+        _nested_power(400, "x-t/2"),
+        f"product of 4605250 coefficient pairs exceeds the limit {MAX_PRODUCT_WORK} at offset 21")
 
 
 _SMALL_LIMIT = 8

@@ -30,15 +30,14 @@ def test_specialize_curve():
 
 def test_specialize_curve_rejects_singular_fibers(monkeypatch):
     """The specialized curve decides a singular fibre: the discriminant over
-    Q(t) is never evaluated at t0."""
+    Q(t), an IntPoly of the integral model, is never evaluated at t0."""
     evaluated = []
-    call = RatFunc.__call__
+    for cls in (RatFunc, IntPoly):
+        def recording_call(f, t0, call=cls.__call__):
+            evaluated.append(f)
+            return call(f, t0)
 
-    def recording_call(f, t0):
-        evaluated.append(f)
-        return call(f, t0)
-
-    monkeypatch.setattr(RatFunc, "__call__", recording_call)
+        monkeypatch.setattr(cls, "__call__", recording_call)
     for curve in (Curve.from_roots(RatFunc(0), t, 2 * t), parse_curve("y^2 = x^3 + t*x")):
         with pytest.raises(ValueError, match="^discriminant vanishes at t0=0: specialization singular$"):
             specialize_curve(curve, 0)
